@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlmd_lfd::nlp_prop::{NlpPrecision, NlpProp};
 use mlmd_lfd::wavefunction::WaveFunctions;
 use mlmd_nnqmd::infer::{
-    block_evaluate, block_evaluate_bf16, BF16_ENERGY_ATOL_PER_ATOM, BF16_FORCE_ATOL,
-    BF16_FORCE_RTOL,
+    block_evaluate, block_evaluate_many_bf16, ForceRequest, BF16_ENERGY_ATOL_PER_ATOM,
+    BF16_FORCE_ATOL, BF16_FORCE_RTOL,
 };
 use mlmd_nnqmd::model::{AllegroLite, ModelConfig, QuantizedModel};
 use mlmd_numerics::complex::c64;
@@ -54,6 +54,12 @@ fn bench_nnqmd_precision(c: &mut Criterion) {
     let quant = QuantizedModel::from_model(&model);
     let lat = PerovskiteLattice::uniform(3, 3, 3, Vec3::new(0.0, 0.0, 0.2));
     let sys = &lat.system;
+    let requests = [ForceRequest {
+        species: &sys.species,
+        positions: &sys.positions,
+        box_lengths: sys.box_lengths,
+        n_batches: 2,
+    }];
     let mut group = c.benchmark_group("pr10_nnqmd_precision");
     group.sample_size(10);
     group.bench_function("block_evaluate_f64", |b| {
@@ -67,22 +73,14 @@ fn bench_nnqmd_precision(c: &mut Criterion) {
             )
         });
     });
-    group.bench_function("block_evaluate_bf16", |b| {
-        b.iter(|| {
-            block_evaluate_bf16(
-                black_box(&quant),
-                &sys.species,
-                &sys.positions,
-                sys.box_lengths,
-                2,
-            )
-        });
+    group.bench_function("block_evaluate_many_bf16", |b| {
+        b.iter(|| block_evaluate_many_bf16(black_box(&quant), &requests));
     });
     group.finish();
 
     // Envelope check on the bench fixture (same bound as the proptests).
     let f64_res = block_evaluate(&model, &sys.species, &sys.positions, sys.box_lengths, 2);
-    let bf_res = block_evaluate_bf16(&quant, &sys.species, &sys.positions, sys.box_lengths, 2);
+    let bf_res = block_evaluate_many_bf16(&quant, &requests).remove(0);
     let fmax = f64_res
         .forces
         .iter()

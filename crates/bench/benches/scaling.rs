@@ -1,8 +1,8 @@
 //! Criterion bench: the Fig. 4/5 cost-model sweeps (deterministic, fast —
 //! benchmarks the model evaluation itself), plus the `pool_scaling` group
-//! comparing the rayon shim's persistent work-stealing scheduler against
-//! the old per-call static partition (build with `--features
-//! static-partition` for the baseline; results recorded in BENCH_pr2.json).
+//! timing the rayon shim's persistent work-stealing scheduler on skewed
+//! workloads (its A/B against the retired per-call static partition is
+//! recorded in BENCH_pr2.json).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlmd_exasim::dcmesh_model::DcMeshModel;
@@ -39,22 +39,15 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
     Matrix::from_fn(rows, cols, |_, _| rng.next_f64() - 0.5)
 }
 
-/// Deliberately skewed workloads for the scheduler A/B (ISSUE 2): uneven
-/// GEMM panels and a domain loop with one oversized domain. The static
-/// partition assigns whole contiguous buckets up front and pays a fresh
-/// thread spawn per call; the work-stealing pool reuses persistent workers
-/// and rebalances the oversized tasks.
+/// Deliberately skewed workloads for the scheduler: uneven GEMM panels
+/// and a domain loop with one oversized domain, which the work-stealing
+/// pool's persistent workers rebalance.
 fn bench_pool_scaling(c: &mut Criterion) {
-    let scheduler = if cfg!(feature = "static-partition") {
-        "static"
-    } else {
-        "worksteal"
-    };
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(4)
         .build()
         .unwrap();
-    let mut group = c.benchmark_group(format!("pool_scaling/{scheduler}"));
+    let mut group = c.benchmark_group("pool_scaling/worksteal");
     group.sample_size(60);
 
     // Imbalanced GEMM panels: C = A·B computed panel-by-panel where seven

@@ -34,7 +34,6 @@
 //! * [`fixture`] — the canonical laptop-scale problems every
 //!   oracle-comparison surface builds (SCF two-domain fixture, MESH
 //!   driver fixture).
-//! * [`metrics`] — per-kernel FLOP/time accounting (Tables IV–V rows).
 //!
 //! # Distributed vs. serial oracle
 //!
@@ -75,7 +74,6 @@ pub mod domain;
 pub mod ehrenfest;
 pub mod fixture;
 pub mod mesh;
-pub mod metrics;
 pub mod scf;
 pub mod shadow;
 

@@ -6,9 +6,9 @@
 //! Verlet step — issuing one `block_evaluate` per domain wastes the
 //! batching capacity of the accelerator. [`ForceBatch`] is a rendezvous:
 //! each of the `expected` participants submits its request and blocks;
-//! the last arrival evaluates the whole batch with a single
-//! [`block_evaluate_many`] call (deduplicating byte-identical requests)
-//! and wakes everyone with their results.
+//! the last arrival evaluates the whole batch with a single inference
+//! call ([`crate::infer`], deduplicating byte-identical requests) and
+//! wakes everyone with their results.
 //!
 //! Per-request results are bit-identical to standalone `block_evaluate`
 //! calls — aggregation changes *where* inference runs, never *what* it
@@ -23,7 +23,7 @@
 //! requests in program order without blocking. A stall watchdog panics
 //! (rather than hangs) if a participant never shows up.
 
-use crate::infer::{block_evaluate_many, BlockEvalResult, ForceRequest};
+use crate::infer::{BlockEvalResult, ForceRequest, InferenceModel};
 use crate::model::AllegroLite;
 use mlmd_numerics::vec3::Vec3;
 use mlmd_qxmd::atoms::{AtomsSystem, Species};
@@ -94,7 +94,7 @@ struct BatchState {
 /// A per-step force-inference rendezvous shared by `expected` domain
 /// threads. See the module docs for the protocol.
 pub struct ForceBatch {
-    model: AllegroLite,
+    net: InferenceModel,
     n_batches: usize,
     expected: usize,
     stall_timeout: Duration,
@@ -111,7 +111,7 @@ impl ForceBatch {
     pub fn new(model: AllegroLite, n_batches: usize, expected: usize) -> Self {
         assert!(expected >= 1, "a rendezvous needs at least one participant");
         Self {
-            model,
+            net: InferenceModel::new(model),
             n_batches,
             expected,
             stall_timeout: Duration::from_secs(30),
@@ -152,8 +152,8 @@ impl ForceBatch {
     }
 
     /// Submit one domain's force request and block until the batch result
-    /// is available. Bit-identical to a standalone [`crate::infer::block_evaluate`]
-    /// (crate::infer::block_evaluate) with the same arguments.
+    /// is available. Bit-identical to a standalone
+    /// [`crate::infer::block_evaluate`] with the same arguments.
     ///
     /// # Panics
     /// If the rendezvous stalls longer than the configured watchdog —
@@ -209,7 +209,7 @@ impl ForceBatch {
                     n_batches: self.n_batches,
                 })
                 .collect();
-            let results = block_evaluate_many(&self.model, &requests);
+            let results = self.net.evaluate_many(&requests);
             drop(requests);
             self.rounds.fetch_add(1, Ordering::Relaxed);
             self.unique_evals

@@ -5,10 +5,11 @@
 //! domains, replica studies, embarrassingly-parallel sweeps) through
 //! velocity Verlet in lockstep: every step performs the half-kick+drift
 //! of all domains, then serves *all* force requests with a single
-//! [`block_evaluate_many`] call, then applies all second half-kicks.
+//! inference call ([`crate::infer`]) at the ensemble's precision, then
+//! applies all second half-kicks.
 //!
-//! Because `block_evaluate_many` preserves the per-request partitioning
-//! of `block_evaluate`, and [`VelocityVerlet::half_kick_drift`] +
+//! Because a batched call evaluates each request exactly as a standalone
+//! one would, and [`VelocityVerlet::half_kick_drift`] +
 //! `compute` + [`VelocityVerlet::half_kick`] is the same floating-point
 //! program as [`VelocityVerlet::step`], each domain's trajectory is
 //! bit-identical to running it alone in an
@@ -17,9 +18,9 @@
 //! [`ForceBatch`](crate::batch::ForceBatch) rendezvous: same batching
 //! semantics, no blocking, so it is safe under width-1 thread pools.
 
-use crate::infer::{block_evaluate_many, block_evaluate_many_bf16, ForceRequest, InferPrecision};
+use crate::infer::{ForceRequest, InferPrecision, InferenceModel};
 use crate::md::NnMdRecord;
-use crate::model::{AllegroLite, QuantizedModel};
+use crate::model::AllegroLite;
 use mlmd_numerics::vec3::Vec3;
 use mlmd_qxmd::atoms::AtomsSystem;
 use mlmd_qxmd::integrator::VelocityVerlet;
@@ -28,9 +29,7 @@ use mlmd_qxmd::integrator::VelocityVerlet;
 /// network, with a single batched inference per step.
 pub struct NnMdEnsemble {
     domains: Vec<AtomsSystem>,
-    model: AllegroLite,
-    quantized: Option<QuantizedModel>,
-    precision: InferPrecision,
+    net: InferenceModel,
     n_batches: usize,
     vv: VelocityVerlet,
     steps_taken: usize,
@@ -49,9 +48,7 @@ impl NnMdEnsemble {
         assert!(!domains.is_empty(), "an ensemble needs at least one domain");
         let mut ensemble = Self {
             domains,
-            model,
-            quantized: None,
-            precision: InferPrecision::F64,
+            net: InferenceModel::new(model),
             n_batches,
             vv: VelocityVerlet::new(dt_fs),
             steps_taken: 0,
@@ -64,11 +61,7 @@ impl NnMdEnsemble {
     /// [`InferPrecision::Bf16`] quantizes the model once and recomputes
     /// the initial forces on the quantized surface.
     pub fn with_precision(mut self, precision: InferPrecision) -> Self {
-        self.precision = precision;
-        self.quantized = match precision {
-            InferPrecision::Bf16 => Some(QuantizedModel::from_model(&self.model)),
-            InferPrecision::F64 => None,
-        };
+        self.net = self.net.with_precision(precision);
         self.compute_all_forces();
         self
     }
@@ -88,10 +81,7 @@ impl NnMdEnsemble {
                     n_batches: self.n_batches,
                 })
                 .collect();
-            match (self.precision, &self.quantized) {
-                (InferPrecision::Bf16, Some(q)) => block_evaluate_many_bf16(q, &requests),
-                _ => block_evaluate_many(&self.model, &requests),
-            }
+            self.net.evaluate_many(&requests)
         };
         let mut energies = Vec::with_capacity(self.domains.len());
         for (sys, res) in self.domains.iter_mut().zip(&results) {
@@ -146,7 +136,7 @@ impl NnMdEnsemble {
 
     /// Inference precision in effect.
     pub fn precision(&self) -> InferPrecision {
-        self.precision
+        self.net.precision()
     }
 
     /// The evolving domains.

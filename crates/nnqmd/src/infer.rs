@@ -5,25 +5,31 @@
 //! limitation in the system scalability and have achieved an
 //! order-of-magnitude larger system size."
 //!
-//! [`block_evaluate`] partitions atoms into batches, builds the
-//! neighbor-list working set only for one batch at a time, tracks the
-//! peak modeled device memory, and produces forces identical to the
-//! monolithic evaluation (asserted in tests).
+//! One blocking loop serves every precision: it builds the cell list and
+//! full neighbor lists once per request, partitions the atoms into
+//! batches that bound the modeled device working set, and runs the
+//! per-centre kernel (`kernel.rs`, generic over precision) directly on the
+//! cached pairs. Energy is summed per atom in index order, so the result
+//! is bit-invariant under the blocking factor at either precision and
+//! agrees with the monolithic [`AllegroLite::evaluate`] to rounding (both
+//! asserted in tests).
 
-use crate::model::{AllegroLite, QuantScratch, QuantizedModel};
+use crate::kernel::{accumulate_center, Scratch};
+use crate::model::{AllegroLite, ModelConfig, QuantizedModel};
+use mlmd_numerics::complex::Real;
 use mlmd_numerics::vec3::Vec3;
 use mlmd_qxmd::atoms::Species;
 use mlmd_qxmd::neighbor::CellList;
+use std::ops::Range;
 
-/// Numeric precision of the inference compute path.
+/// Numeric precision of the inference kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum InferPrecision {
-    /// Reference f64 path — bit-exact, pinned by the trajectory tests.
+    /// f64 kernel over the reference parameters.
     #[default]
     F64,
-    /// bf16-storage / f32-accumulate path ([`QuantizedModel`]): half the
-    /// parameter bytes, allocation-free kernel, forces within the
-    /// documented envelope below.
+    /// f32 kernel over bf16-rounded parameters ([`QuantizedModel`]): half
+    /// the parameter bytes, forces within the documented envelope below.
     Bf16,
 }
 
@@ -59,117 +65,8 @@ pub struct BlockEvalResult {
 /// Bytes per neighbor entry in the modeled device layout
 /// (edge vector 3×f32 + distance f32 + index u32 + features ~ 48B → use a
 /// representative 64 bytes, the "50–200× prefactor" regime of the paper).
+/// Edge features stored in bf16 halve it.
 pub const BYTES_PER_NEIGHBOR: u64 = 64;
-
-/// Evaluate energy/forces batch-by-batch over atom blocks.
-pub fn block_evaluate(
-    model: &AllegroLite,
-    species: &[Species],
-    positions: &[Vec3],
-    box_lengths: Vec3,
-    n_batches: usize,
-) -> BlockEvalResult {
-    let n = positions.len();
-    assert!(n_batches >= 1);
-    let cl = CellList::build(positions, box_lengths, model.cfg.rcut);
-    let lists = cl.full_lists(positions);
-    let mut energy = 0.0;
-    let mut forces = vec![Vec3::ZERO; n];
-    let mut peak = 0u64;
-    let batch_size = n.div_ceil(n_batches);
-    for b in 0..n_batches {
-        let lo = b * batch_size;
-        let hi = ((b + 1) * batch_size).min(n);
-        if lo >= hi {
-            continue;
-        }
-        // Working set: the neighbor entries of this batch only.
-        let batch_neighbors: usize = lists[lo..hi].iter().map(|l| l.len()).sum();
-        peak = peak.max(batch_neighbors as u64 * BYTES_PER_NEIGHBOR);
-        // Evaluate the per-atom energies of this batch; the strictly-local
-        // architecture makes per-atom evaluation exact (this is what lets
-        // Allegro shard at all).
-        let (e, f) = model_batch(model, species, positions, &lists, lo, hi);
-        energy += e;
-        for (fi, fv) in f {
-            forces[fi] += fv;
-        }
-    }
-    BlockEvalResult {
-        energy,
-        forces,
-        peak_neighbor_bytes: peak,
-        n_batches,
-    }
-}
-
-/// Evaluate energy/forces batch-by-batch through the bf16-storage /
-/// f32-accumulate path. Same blocking discipline as [`block_evaluate`]
-/// (neighbor lists are built once, batches bound the working set), but
-/// per-atom evaluation runs [`QuantizedModel::accumulate_center`]
-/// directly on the cached pairs: no per-atom cluster construction, no
-/// per-edge heap allocation, and half the modeled parameter bytes.
-///
-/// Unlike the f64 path (whose energy is reduced batch-by-batch), the
-/// bf16 path accumulates per atom in index order, so its output is
-/// bit-invariant under `n_batches` (asserted in tests).
-pub fn block_evaluate_bf16(
-    model: &QuantizedModel,
-    species: &[Species],
-    positions: &[Vec3],
-    box_lengths: Vec3,
-    n_batches: usize,
-) -> BlockEvalResult {
-    let mut scratch = QuantScratch::default();
-    block_evaluate_bf16_with(
-        model,
-        &mut scratch,
-        species,
-        positions,
-        box_lengths,
-        n_batches,
-    )
-}
-
-/// [`block_evaluate_bf16`] with a caller-owned scratch, so repeated calls
-/// (MD steps, cross-domain batches) amortize the buffers to zero
-/// steady-state allocation.
-pub fn block_evaluate_bf16_with(
-    model: &QuantizedModel,
-    scratch: &mut QuantScratch,
-    species: &[Species],
-    positions: &[Vec3],
-    box_lengths: Vec3,
-    n_batches: usize,
-) -> BlockEvalResult {
-    let n = positions.len();
-    assert!(n_batches >= 1);
-    let cl = CellList::build(positions, box_lengths, model.rcut());
-    let lists = cl.full_lists(positions);
-    let mut energy = 0.0;
-    let mut forces = vec![Vec3::ZERO; n];
-    let mut peak = 0u64;
-    let batch_size = n.div_ceil(n_batches);
-    for b in 0..n_batches {
-        let lo = b * batch_size;
-        let hi = ((b + 1) * batch_size).min(n);
-        if lo >= hi {
-            continue;
-        }
-        let batch_neighbors: usize = lists[lo..hi].iter().map(|l| l.len()).sum();
-        // Edge features stored in bf16 halve the per-neighbor bytes.
-        peak = peak.max(batch_neighbors as u64 * BYTES_PER_NEIGHBOR / 2);
-        for (i, neigh) in lists.iter().enumerate().take(hi).skip(lo) {
-            energy += model.accumulate_center(scratch, species, neigh, i, &mut forces);
-        }
-    }
-    BlockEvalResult {
-        energy,
-        forces,
-        peak_neighbor_bytes: peak,
-        n_batches,
-    }
-}
 
 /// One domain's force request in a cross-domain batched evaluation.
 ///
@@ -186,7 +83,77 @@ pub struct ForceRequest<'a> {
     pub n_batches: usize,
 }
 
-/// Serve every domain's force request with one inference call.
+/// The blocking loop: energy and forces contributed by the centres in
+/// `atoms` of one request (all of them, or the block a rank owns),
+/// evaluated batch by batch with the kernel at precision `R`.
+pub(crate) fn evaluate_centres<R: Real>(
+    cfg: &ModelConfig,
+    params: &[R],
+    bytes_per_neighbor: u64,
+    scratch: &mut Scratch<R>,
+    rq: &ForceRequest<'_>,
+    atoms: Range<usize>,
+) -> BlockEvalResult {
+    assert!(rq.n_batches >= 1);
+    let cl = CellList::build(rq.positions, rq.box_lengths, cfg.rcut);
+    let lists = cl.full_lists(rq.positions);
+    let mut energy = 0.0;
+    let mut forces = vec![Vec3::ZERO; rq.positions.len()];
+    let mut peak = 0u64;
+    // `step_by` needs a non-zero step even when `atoms` is empty.
+    let batch_size = atoms.len().div_ceil(rq.n_batches).max(1);
+    for lo in atoms.clone().step_by(batch_size) {
+        let hi = (lo + batch_size).min(atoms.end);
+        // Working set: the neighbor entries of this batch only.
+        let batch_neighbors: usize = lists[lo..hi].iter().map(|l| l.len()).sum();
+        peak = peak.max(batch_neighbors as u64 * bytes_per_neighbor);
+        for (i, neigh) in lists.iter().enumerate().take(hi).skip(lo) {
+            energy += accumulate_center(cfg, params, scratch, rq.species, neigh, i, &mut forces);
+        }
+    }
+    BlockEvalResult {
+        energy,
+        forces,
+        peak_neighbor_bytes: peak,
+        n_batches: rq.n_batches,
+    }
+}
+
+/// Every request through [`evaluate_centres`], sharing one scratch.
+fn evaluate_requests<R: Real>(
+    cfg: &ModelConfig,
+    params: &[R],
+    bytes_per_neighbor: u64,
+    requests: &[ForceRequest<'_>],
+) -> Vec<BlockEvalResult> {
+    let mut scratch = Scratch::new();
+    requests
+        .iter()
+        .map(|rq| {
+            let atoms = 0..rq.positions.len();
+            evaluate_centres(cfg, params, bytes_per_neighbor, &mut scratch, rq, atoms)
+        })
+        .collect()
+}
+
+/// Evaluate energy/forces batch-by-batch over atom blocks at f64.
+pub fn block_evaluate(
+    model: &AllegroLite,
+    species: &[Species],
+    positions: &[Vec3],
+    box_lengths: Vec3,
+    n_batches: usize,
+) -> BlockEvalResult {
+    let rq = ForceRequest {
+        species,
+        positions,
+        box_lengths,
+        n_batches,
+    };
+    block_evaluate_many(model, &[rq]).remove(0)
+}
+
+/// Serve every domain's force request with one f64 inference call.
 ///
 /// Each request is evaluated with exactly the per-request partitioning of
 /// [`block_evaluate`], so `block_evaluate_many(&[r])[0]` is bit-identical
@@ -196,91 +163,59 @@ pub fn block_evaluate_many(
     model: &AllegroLite,
     requests: &[ForceRequest<'_>],
 ) -> Vec<BlockEvalResult> {
-    requests
-        .iter()
-        .map(|rq| {
-            block_evaluate(
-                model,
-                rq.species,
-                rq.positions,
-                rq.box_lengths,
-                rq.n_batches,
-            )
-        })
-        .collect()
+    evaluate_requests(&model.cfg, &model.params, BYTES_PER_NEIGHBOR, requests)
 }
 
-/// bf16 counterpart of [`block_evaluate_many`]: one scratch shared across
-/// all requests, so a cross-domain batch allocates nothing per domain.
+/// [`block_evaluate_many`] on the bf16-storage / f32-accumulate network.
 pub fn block_evaluate_many_bf16(
     model: &QuantizedModel,
     requests: &[ForceRequest<'_>],
 ) -> Vec<BlockEvalResult> {
-    let mut scratch = QuantScratch::default();
-    requests
-        .iter()
-        .map(|rq| {
-            block_evaluate_bf16_with(
-                model,
-                &mut scratch,
-                rq.species,
-                rq.positions,
-                rq.box_lengths,
-                rq.n_batches,
-            )
-        })
-        .collect()
+    evaluate_requests(&model.cfg, &model.params, BYTES_PER_NEIGHBOR / 2, requests)
 }
 
-/// Evaluate the contribution of atoms [lo, hi): their per-atom energies
-/// and the (sparse) force contributions they generate.
-fn model_batch(
-    model: &AllegroLite,
-    species: &[Species],
-    _positions: &[Vec3],
-    lists: &[Vec<mlmd_qxmd::neighbor::Pair>],
-    lo: usize,
-    hi: usize,
-) -> (f64, Vec<(usize, Vec3)>) {
-    // Reuse the full model by constructing a sub-evaluation: run the
-    // full model but only count atoms in [lo, hi). The strictly-local
-    // energy decomposition E = Σ_i E_i makes this exact: evaluate E_i via
-    // a single-atom "mask".
-    //
-    // Implementation: call the model's forward on the full system is
-    // wasteful; instead exploit locality by evaluating atom-by-atom with
-    // the cached neighbor lists. We reconstruct per-atom energies by
-    // differencing: E_i = E(model restricted to edges of i). For the
-    // Allegro-lite architecture that is exactly the sum over i's edges,
-    // which `AllegroLite` computes when handed only atom i's neighborhood.
-    let mut energy = 0.0;
-    let mut forces: Vec<(usize, Vec3)> = Vec::new();
-    // Open-boundary cluster box: 4·rcut per side keeps all minimum-image
-    // distances honest (cluster extent ≤ 2·rcut < half the box).
-    let cluster_l = 4.0 * model.cfg.rcut;
-    let center = Vec3::splat(0.5 * cluster_l);
-    for i in lo..hi {
-        let neigh = &lists[i];
-        // Build the local cluster: atom i + its neighbors, positions in
-        // the minimum-image frame of i.
-        let mut sp = Vec::with_capacity(neigh.len() + 1);
-        let mut ps = Vec::with_capacity(neigh.len() + 1);
-        let mut global: Vec<usize> = Vec::with_capacity(neigh.len() + 1);
-        sp.push(species[i]);
-        ps.push(center);
-        global.push(i);
-        for p in neigh {
-            sp.push(species[p.j]);
-            ps.push(center + p.dr);
-            global.push(p.j);
-        }
-        let res = model.evaluate_center(&sp, &ps, Vec3::splat(cluster_l));
-        energy += res.energy;
-        for (local, &g) in global.iter().enumerate() {
-            forces.push((g, res.forces[local]));
+/// A network owned at its inference precision: what the MD drivers hold.
+/// The quantized parameters exist exactly when the precision is bf16, so
+/// the two can never disagree.
+pub(crate) struct InferenceModel {
+    reference: AllegroLite,
+    quantized: Option<QuantizedModel>,
+}
+
+impl InferenceModel {
+    /// The network at [`InferPrecision::F64`].
+    pub(crate) fn new(reference: AllegroLite) -> Self {
+        Self {
+            reference,
+            quantized: None,
         }
     }
-    (energy, forces)
+
+    /// Switch precision; [`InferPrecision::Bf16`] quantizes the reference
+    /// parameters once, here.
+    pub(crate) fn with_precision(mut self, precision: InferPrecision) -> Self {
+        self.quantized = match precision {
+            InferPrecision::F64 => None,
+            InferPrecision::Bf16 => Some(QuantizedModel::from_model(&self.reference)),
+        };
+        self
+    }
+
+    pub(crate) fn precision(&self) -> InferPrecision {
+        if self.quantized.is_some() {
+            InferPrecision::Bf16
+        } else {
+            InferPrecision::F64
+        }
+    }
+
+    /// One inference call over `requests` at the owned precision.
+    pub(crate) fn evaluate_many(&self, requests: &[ForceRequest<'_>]) -> Vec<BlockEvalResult> {
+        match &self.quantized {
+            Some(quantized) => block_evaluate_many_bf16(quantized, requests),
+            None => block_evaluate_many(&self.reference, requests),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -290,6 +225,10 @@ mod tests {
     use mlmd_numerics::rng::{Rng64, Xoshiro256};
 
     fn setup(n: usize) -> (AllegroLite, Vec<Species>, Vec<Vec3>, Vec3) {
+        setup_in_box(n, 14.0)
+    }
+
+    fn setup_in_box(n: usize, l: f64) -> (AllegroLite, Vec<Species>, Vec<Vec3>, Vec3) {
         let model = AllegroLite::new(
             ModelConfig {
                 hidden: 8,
@@ -299,7 +238,6 @@ mod tests {
             11,
         );
         let mut rng = Xoshiro256::new(5);
-        let l = 14.0;
         let species: Vec<Species> = (0..n)
             .map(|i| match i % 3 {
                 0 => Species::Pb,
@@ -313,6 +251,87 @@ mod tests {
         (model, species, positions, Vec3::splat(l))
     }
 
+    /// One request through the bf16 entry point.
+    fn evaluate_bf16(
+        qm: &QuantizedModel,
+        species: &[Species],
+        positions: &[Vec3],
+        box_lengths: Vec3,
+        n_batches: usize,
+    ) -> BlockEvalResult {
+        let rq = ForceRequest {
+            species,
+            positions,
+            box_lengths,
+            n_batches,
+        };
+        block_evaluate_many_bf16(qm, &[rq]).remove(0)
+    }
+
+    fn assert_bitwise_equal(a: &BlockEvalResult, b: &BlockEvalResult) {
+        assert_eq!(a.energy.to_bits(), b.energy.to_bits());
+        for (fa, fb) in a.forces.iter().zip(&b.forces) {
+            assert_eq!(fa.x.to_bits(), fb.x.to_bits());
+            assert_eq!(fa.y.to_bits(), fb.y.to_bits());
+            assert_eq!(fa.z.to_bits(), fb.z.to_bits());
+        }
+    }
+
+    /// FNV-1a over the energy and every force component (`to_bits`) of
+    /// each result, in order.
+    fn digest(results: &[BlockEvalResult]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bits: u64| {
+            for byte in bits.to_le_bytes() {
+                h ^= byte as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for res in results {
+            eat(res.energy.to_bits());
+            for f in &res.forces {
+                eat(f.x.to_bits());
+                eat(f.y.to_bits());
+                eat(f.z.to_bits());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn bf16_golden_digest_is_pinned() {
+        // The digest of the hand-written f32 kernel, captured at the
+        // commit before the kernel became generic over precision: at
+        // `f32` the generic kernel must be that floating-point program.
+        use mlmd_qxmd::perovskite::PerovskiteLattice;
+        let model = AllegroLite::new(
+            ModelConfig {
+                hidden: 6,
+                k_max: 4,
+                rcut: 3.5,
+            },
+            41,
+        );
+        let mut sys = PerovskiteLattice::uniform(4, 4, 2, Vec3::new(0.0, 0.0, 0.1)).system;
+        let mut rng = Xoshiro256::new(2025);
+        for p in &mut sys.positions {
+            *p += Vec3::new(
+                rng.range(-0.08, 0.08),
+                rng.range(-0.08, 0.08),
+                rng.range(-0.08, 0.08),
+            );
+        }
+        assert_eq!(sys.len(), 160);
+        let requests = [2usize, 3].map(|n_batches| ForceRequest {
+            species: &sys.species,
+            positions: &sys.positions,
+            box_lengths: sys.box_lengths,
+            n_batches,
+        });
+        let results = block_evaluate_many_bf16(&QuantizedModel::from_model(&model), &requests);
+        assert_eq!(digest(&results), 0x75aa_d026_c0f5_4941);
+    }
+
     #[test]
     fn blocked_matches_monolithic() {
         let (model, sp, ps, bl) = setup(40);
@@ -320,12 +339,12 @@ mod tests {
         for n_batches in [1usize, 2, 4, 7] {
             let blocked = block_evaluate(&model, &sp, &ps, bl, n_batches);
             assert!(
-                (blocked.energy - reference.energy).abs() < 1e-8,
+                (blocked.energy - reference.energy).abs() < 1e-12,
                 "energy mismatch at {n_batches} batches"
             );
             for (a, b) in blocked.forces.iter().zip(&reference.forces) {
                 assert!(
-                    (*a - *b).norm() < 1e-8,
+                    (*a - *b).norm() < 1e-12,
                     "force mismatch at {n_batches} batches"
                 );
             }
@@ -350,19 +369,18 @@ mod tests {
 
     #[test]
     fn bf16_path_is_batch_invariant_bitwise() {
-        // The bf16 path reduces per atom in index order, so blocking must
-        // not change a single bit of the output.
+        // Energy and forces reduce per atom in index order, so blocking
+        // must not change a single bit of the output at either precision.
         let (model, sp, ps, bl) = setup(40);
         let qm = QuantizedModel::from_model(&model);
-        let reference = block_evaluate_bf16(&qm, &sp, &ps, bl, 1);
+        let reference = evaluate_bf16(&qm, &sp, &ps, bl, 1);
+        let reference_f64 = block_evaluate(&model, &sp, &ps, bl, 1);
         for n_batches in [2usize, 4, 7] {
-            let blocked = block_evaluate_bf16(&qm, &sp, &ps, bl, n_batches);
-            assert_eq!(blocked.energy.to_bits(), reference.energy.to_bits());
-            for (a, b) in blocked.forces.iter().zip(&reference.forces) {
-                assert_eq!(a.x.to_bits(), b.x.to_bits());
-                assert_eq!(a.y.to_bits(), b.y.to_bits());
-                assert_eq!(a.z.to_bits(), b.z.to_bits());
-            }
+            assert_bitwise_equal(&evaluate_bf16(&qm, &sp, &ps, bl, n_batches), &reference);
+            assert_bitwise_equal(
+                &block_evaluate(&model, &sp, &ps, bl, n_batches),
+                &reference_f64,
+            );
         }
     }
 
@@ -370,8 +388,8 @@ mod tests {
     fn bf16_blocking_still_reduces_peak_memory() {
         let (model, sp, ps, bl) = setup(60);
         let qm = QuantizedModel::from_model(&model);
-        let one = block_evaluate_bf16(&qm, &sp, &ps, bl, 1);
-        let two = block_evaluate_bf16(&qm, &sp, &ps, bl, 2);
+        let one = evaluate_bf16(&qm, &sp, &ps, bl, 1);
+        let two = evaluate_bf16(&qm, &sp, &ps, bl, 2);
         assert!(two.peak_neighbor_bytes < one.peak_neighbor_bytes);
         // And the bf16 working set is half the f64-path model.
         let f64_one = block_evaluate(&model, &sp, &ps, bl, 1);
@@ -468,8 +486,7 @@ mod tests {
         ];
         let many = block_evaluate_many_bf16(&qm, &requests);
         for (res, rq) in many.iter().zip(&requests) {
-            let direct =
-                block_evaluate_bf16(&qm, rq.species, rq.positions, rq.box_lengths, rq.n_batches);
+            let direct = evaluate_bf16(&qm, rq.species, rq.positions, rq.box_lengths, rq.n_batches);
             assert_eq!(res.energy.to_bits(), direct.energy.to_bits());
             for (a, b) in res.forces.iter().zip(&direct.forces) {
                 assert_eq!(a.x.to_bits(), b.x.to_bits());
@@ -481,17 +498,16 @@ mod tests {
     fn peak_memory_supports_larger_systems() {
         // The Sec. V.B.9 claim: for a fixed memory budget, blocking admits
         // a larger system. Verify the scaling: peak(N, 2 batches) ≈
-        // peak(N/2, 1 batch).
+        // peak(N/2, 1 batch) at the same density.
         let (model, sp, ps, bl) = setup(80);
         let full = block_evaluate(&model, &sp, &ps, bl, 2);
-        let (model2, sp2, ps2, bl2) = setup(40);
-        let half = block_evaluate(&model2, &sp2, &ps2, bl2, 1);
-        let _ = (full, half, model2);
-        // Densities differ slightly; just assert the ordering holds.
-        let (model3, sp3, ps3, bl3) = setup(80);
-        let mono = block_evaluate(&model3, &sp3, &ps3, bl3, 1);
-        let blocked = block_evaluate(&model3, &sp3, &ps3, bl3, 2);
-        assert!(blocked.peak_neighbor_bytes < mono.peak_neighbor_bytes);
+        let (_, sp2, ps2, bl2) = setup_in_box(40, 14.0 / 2f64.cbrt());
+        let half = block_evaluate(&model, &sp2, &ps2, bl2, 1);
+        let ratio = full.peak_neighbor_bytes as f64 / half.peak_neighbor_bytes as f64;
+        assert!(
+            (0.5..=1.5).contains(&ratio),
+            "peak(80 atoms, 2 batches) / peak(40 atoms, 1 batch) = {ratio}"
+        );
     }
 
     mod properties {
@@ -543,7 +559,7 @@ mod tests {
                 let (model, sp, ps, bl) = random_case(seed, n, 12.0, hidden);
                 let reference = block_evaluate(&model, &sp, &ps, bl, 2);
                 let qm = QuantizedModel::from_model(&model);
-                let quant = block_evaluate_bf16(&qm, &sp, &ps, bl, 2);
+                let quant = evaluate_bf16(&qm, &sp, &ps, bl, 2);
                 let fmax = reference
                     .forces
                     .iter()
@@ -564,9 +580,8 @@ mod tests {
                 );
             }
 
-            /// Blocking factors must not change the f64 result beyond
-            /// reduction-order noise, and must not change the bf16 result
-            /// at all.
+            /// Blocking factors must not change a bit of the result at
+            /// either precision.
             #[test]
             fn batching_is_invariant_at_widths_1_2_4(
                 seed in 0u64..4096,
@@ -575,19 +590,17 @@ mod tests {
                 let (model, sp, ps, bl) = random_case(seed, n, 13.0, 6);
                 let r1 = block_evaluate(&model, &sp, &ps, bl, 1);
                 let qm = QuantizedModel::from_model(&model);
-                let q1 = block_evaluate_bf16(&qm, &sp, &ps, bl, 1);
+                let q1 = evaluate_bf16(&qm, &sp, &ps, bl, 1);
                 for width in [2usize, 4] {
                     let rw = block_evaluate(&model, &sp, &ps, bl, width);
-                    prop_assert!((rw.energy - r1.energy).abs() < 1e-9);
-                    for (a, b) in rw.forces.iter().zip(&r1.forces) {
-                        prop_assert!((*a - *b).norm() < 1e-9);
-                    }
-                    let qw = block_evaluate_bf16(&qm, &sp, &ps, bl, width);
-                    prop_assert_eq!(qw.energy.to_bits(), q1.energy.to_bits());
-                    for (a, b) in qw.forces.iter().zip(&q1.forces) {
-                        prop_assert_eq!(a.x.to_bits(), b.x.to_bits());
-                        prop_assert_eq!(a.y.to_bits(), b.y.to_bits());
-                        prop_assert_eq!(a.z.to_bits(), b.z.to_bits());
+                    let qw = evaluate_bf16(&qm, &sp, &ps, bl, width);
+                    for (wide, one) in [(&rw, &r1), (&qw, &q1)] {
+                        prop_assert_eq!(wide.energy.to_bits(), one.energy.to_bits());
+                        for (a, b) in wide.forces.iter().zip(&one.forces) {
+                            prop_assert_eq!(a.x.to_bits(), b.x.to_bits());
+                            prop_assert_eq!(a.y.to_bits(), b.y.to_bits());
+                            prop_assert_eq!(a.z.to_bits(), b.z.to_bits());
+                        }
                     }
                 }
             }

@@ -21,8 +21,9 @@
 //!   `F = (1−w)·F_GS + w·F_XS`, with `w` driven by the per-domain
 //!   excitation count delivered by DC-MESH (MSA type 3).
 //! * **Block model inference** ([`infer`]): the two-batch neighbor-list
-//!   blocking of Sec. V.B.9 that caps device-memory footprint, with an
-//!   opt-in bf16-storage / f32-accumulate compute path
+//!   blocking of Sec. V.B.9 that caps device-memory footprint, around one
+//!   per-centre kernel generic over precision — f64 over the reference
+//!   parameters, or f32 over bf16-rounded ones
 //!   ([`model::QuantizedModel`], Sec. VI.C) under a documented,
 //!   property-tested force-accuracy envelope.
 //! * **Cross-domain batched inference** ([`batch`], [`ensemble`]): one
@@ -45,6 +46,7 @@ pub mod failure;
 pub mod fm;
 pub mod gen;
 pub mod infer;
+mod kernel;
 pub mod md;
 pub mod mix;
 pub mod model;
@@ -54,8 +56,7 @@ pub mod train;
 pub use batch::ForceBatch;
 pub use ensemble::NnMdEnsemble;
 pub use infer::{
-    block_evaluate, block_evaluate_bf16, block_evaluate_many, BlockEvalResult, ForceRequest,
-    InferPrecision,
+    block_evaluate, block_evaluate_many, BlockEvalResult, ForceRequest, InferPrecision,
 };
 pub use md::{NnForceField, NnMdLoop, NnMdRecord};
 pub use mix::XsGsModel;

@@ -5,11 +5,16 @@
 //! owns a contiguous atom block, positions are exchanged (the functional
 //! analogue of the halo exchange; the cost model in `mlmd-exasim` accounts
 //! for the real halo volumes), forces for owned atoms are computed with
-//! the strictly-local model, and the total energy is allreduced.
+//! the strictly-local model, and the total energy is allreduced. Serial
+//! and parallel drivers run the same blocking loop and per-centre kernel
+//! ([`crate::infer`]).
 
-use crate::infer::{block_evaluate, block_evaluate_bf16, InferPrecision};
+use crate::infer::{
+    evaluate_centres, ForceRequest, InferPrecision, InferenceModel, BYTES_PER_NEIGHBOR,
+};
+use crate::kernel::Scratch;
 use crate::mix::XsGsModel;
-use crate::model::{AllegroLite, QuantizedModel};
+use crate::model::AllegroLite;
 use mlmd_numerics::vec3::Vec3;
 use mlmd_parallel::comm::Comm;
 use mlmd_parallel::hier::partition;
@@ -18,17 +23,14 @@ use mlmd_qxmd::integrator::ForceField;
 
 /// Serial force-field adapter for a single network.
 ///
-/// The default compute path is the bit-exact f64 [`block_evaluate`];
-/// [`with_precision`](Self::with_precision) switches to the
-/// bf16-storage / f32-accumulate path, which trades the documented force
-/// envelope ([`crate::infer::BF16_FORCE_RTOL`]) for half the parameter
-/// bytes and an allocation-free kernel.
+/// Inference runs at f64 unless [`with_precision`](Self::with_precision)
+/// selects the bf16-storage / f32-accumulate network, which trades the
+/// documented force envelope ([`crate::infer::BF16_FORCE_RTOL`]) for half
+/// the parameter bytes.
 pub struct NnForceField {
-    pub model: AllegroLite,
+    net: InferenceModel,
     /// Number of inference batches (Sec. V.B.9 blocking).
     pub n_batches: usize,
-    precision: InferPrecision,
-    quantized: Option<QuantizedModel>,
 }
 
 impl NnForceField {
@@ -39,48 +41,33 @@ impl NnForceField {
     /// Explicit neighbor-list blocking factor.
     pub fn with_batches(model: AllegroLite, n_batches: usize) -> Self {
         Self {
-            model,
+            net: InferenceModel::new(model),
             n_batches,
-            precision: InferPrecision::F64,
-            quantized: None,
         }
     }
 
     /// Select the inference precision (builder style). Choosing
     /// [`InferPrecision::Bf16`] quantizes the network once up front.
     pub fn with_precision(mut self, precision: InferPrecision) -> Self {
-        self.precision = precision;
-        self.quantized = match precision {
-            InferPrecision::Bf16 => Some(QuantizedModel::from_model(&self.model)),
-            InferPrecision::F64 => None,
-        };
+        self.net = self.net.with_precision(precision);
         self
     }
 
     /// Inference precision in effect.
     pub fn precision(&self) -> InferPrecision {
-        self.precision
+        self.net.precision()
     }
 }
 
 impl ForceField for NnForceField {
     fn accumulate(&self, sys: &mut AtomsSystem) -> f64 {
-        let res = match (self.precision, &self.quantized) {
-            (InferPrecision::Bf16, Some(q)) => block_evaluate_bf16(
-                q,
-                &sys.species,
-                &sys.positions,
-                sys.box_lengths,
-                self.n_batches,
-            ),
-            _ => block_evaluate(
-                &self.model,
-                &sys.species,
-                &sys.positions,
-                sys.box_lengths,
-                self.n_batches,
-            ),
+        let rq = ForceRequest {
+            species: &sys.species,
+            positions: &sys.positions,
+            box_lengths: sys.box_lengths,
+            n_batches: self.n_batches,
         };
+        let res = self.net.evaluate_many(&[rq]).remove(0);
         for (f, r) in sys.forces.iter_mut().zip(&res.forces) {
             *f += *r;
         }
@@ -117,9 +104,10 @@ pub struct NnMdRecord {
 }
 
 /// The NNQMD MD loop as a self-contained stepper: an owned system driven
-/// by the network force field through batched [`block_evaluate`]
-/// inference, one velocity-Verlet step per call. This is the driver shape
-/// the `mlmd-core` engine layer runs (and batches across replicas).
+/// by the network force field through blocked inference
+/// ([`crate::infer`]), one velocity-Verlet step per call. This is the
+/// driver shape the `mlmd-core` engine layer runs (and batches across
+/// replicas).
 ///
 /// Internally a thin NVE wrapper over [`mlmd_qxmd::md_stage::MdStage`] —
 /// the one velocity-Verlet driver in the workspace — adding the
@@ -130,7 +118,7 @@ pub struct NnMdLoop {
 
 impl NnMdLoop {
     /// Assemble the loop and compute the initial forces. `n_batches` is
-    /// the neighbor-list blocking factor forwarded to [`block_evaluate`].
+    /// the neighbor-list blocking factor of the inference loop.
     pub fn new(system: AtomsSystem, model: AllegroLite, dt_fs: f64, n_batches: usize) -> Self {
         let force = NnForceField::with_batches(model, n_batches);
         // NVE: no thermostat, so the RNG stream is never consumed.
@@ -170,37 +158,24 @@ impl NnMdLoop {
 /// across ranks (each edge contributes from exactly one owner), and the
 /// energy is allreduced. Returns (energy, forces) replicated on all ranks.
 pub fn parallel_forces(comm: &Comm, model: &AllegroLite, sys: &AtomsSystem) -> (f64, Vec<Vec3>) {
-    let n = sys.len();
-    let range = partition(n, comm.size(), comm.rank());
-    // Evaluate only the owned block via the per-atom path.
-    let cl = mlmd_qxmd::neighbor::CellList::build(&sys.positions, sys.box_lengths, model.cfg.rcut);
-    let lists = cl.full_lists(&sys.positions);
-    let mut local_energy = 0.0;
-    let mut local_forces = vec![Vec3::ZERO; n];
-    let cluster_l = 4.0 * model.cfg.rcut;
-    let center = Vec3::splat(0.5 * cluster_l);
-    for i in range {
-        let neigh = &lists[i];
-        let mut sp = Vec::with_capacity(neigh.len() + 1);
-        let mut ps = Vec::with_capacity(neigh.len() + 1);
-        let mut global = Vec::with_capacity(neigh.len() + 1);
-        sp.push(sys.species[i]);
-        ps.push(center);
-        global.push(i);
-        for p in neigh {
-            sp.push(sys.species[p.j]);
-            ps.push(center + p.dr);
-            global.push(p.j);
-        }
-        let res = model.evaluate_center(&sp, &ps, Vec3::splat(cluster_l));
-        local_energy += res.energy;
-        for (local, &g) in global.iter().enumerate() {
-            local_forces[g] += res.forces[local];
-        }
-    }
-    let energy = comm.allreduce_sum(local_energy);
+    let rq = ForceRequest {
+        species: &sys.species,
+        positions: &sys.positions,
+        box_lengths: sys.box_lengths,
+        n_batches: 1,
+    };
+    let owned = partition(sys.len(), comm.size(), comm.rank());
+    let local = evaluate_centres(
+        &model.cfg,
+        &model.params,
+        BYTES_PER_NEIGHBOR,
+        &mut Scratch::new(),
+        &rq,
+        owned,
+    );
+    let energy = comm.allreduce_sum(local.energy);
     // Reduce force components.
-    let flat: Vec<f64> = local_forces.iter().flat_map(|f| [f.x, f.y, f.z]).collect();
+    let flat: Vec<f64> = local.forces.iter().flat_map(|f| [f.x, f.y, f.z]).collect();
     let total = comm.allreduce_sum_vec(flat);
     let forces = total
         .chunks_exact(3)
@@ -310,13 +285,13 @@ mod tests {
             let out = World::run(ranks, |comm| parallel_forces(&comm, &m, &sys));
             for (energy, forces) in &out {
                 assert!(
-                    (energy - serial.energy).abs() < 1e-8,
+                    (energy - serial.energy).abs() < 1e-12,
                     "{ranks} ranks: energy {} vs {}",
                     energy,
                     serial.energy
                 );
                 for (a, b) in forces.iter().zip(&serial.forces) {
-                    assert!((*a - *b).norm() < 1e-8, "{ranks} ranks: force mismatch");
+                    assert!((*a - *b).norm() < 1e-12, "{ranks} ranks: force mismatch");
                 }
             }
         }

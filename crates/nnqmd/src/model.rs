@@ -23,10 +23,11 @@
 
 use crate::basis::RadialBasis;
 use mlmd_numerics::bf16::bf16;
+use mlmd_numerics::complex::Real;
 use mlmd_numerics::rng::{Rng64, Xoshiro256};
 use mlmd_numerics::vec3::Vec3;
 use mlmd_qxmd::atoms::Species;
-use mlmd_qxmd::neighbor::{CellList, Pair};
+use mlmd_qxmd::neighbor::CellList;
 
 /// Hyperparameters.
 #[derive(Clone, Copy, Debug)]
@@ -51,19 +52,19 @@ impl Default for ModelConfig {
 
 /// Flat-parameter offsets.
 #[derive(Clone, Copy, Debug)]
-struct Offsets {
-    w0: usize,
-    b0: usize,
-    wv: usize,
-    u: usize,
-    b1: usize,
-    we: usize,
-    shifts: usize,
-    total: usize,
+pub(crate) struct Offsets {
+    pub(crate) w0: usize,
+    pub(crate) b0: usize,
+    pub(crate) wv: usize,
+    pub(crate) u: usize,
+    pub(crate) b1: usize,
+    pub(crate) we: usize,
+    pub(crate) shifts: usize,
+    pub(crate) total: usize,
 }
 
 impl Offsets {
-    fn new(h: usize, k: usize) -> Self {
+    pub(crate) fn new(h: usize, k: usize) -> Self {
         let w0 = 0;
         let b0 = w0 + 9 * h * k;
         let wv = b0 + 9 * h;
@@ -85,7 +86,7 @@ impl Offsets {
     }
 }
 
-fn species_index(s: Species) -> usize {
+pub(crate) fn species_index(s: Species) -> usize {
     match s {
         Species::Pb => 0,
         Species::Ti => 1,
@@ -94,25 +95,14 @@ fn species_index(s: Species) -> usize {
 }
 
 #[inline]
-fn silu(x: f64) -> f64 {
-    x / (1.0 + (-x).exp())
+pub(crate) fn silu<R: Real>(x: R) -> R {
+    x / (R::ONE + (-x).exp())
 }
 
 #[inline]
-fn silu32(x: f32) -> f32 {
-    x / (1.0 + (-x).exp())
-}
-
-#[inline]
-fn silu_deriv32(x: f32) -> f32 {
-    let s = 1.0 / (1.0 + (-x).exp());
-    s * (1.0 + x * (1.0 - s))
-}
-
-#[inline]
-fn silu_deriv(x: f64) -> f64 {
-    let s = 1.0 / (1.0 + (-x).exp());
-    s * (1.0 + x * (1.0 - s))
+pub(crate) fn silu_deriv<R: Real>(x: R) -> R {
+    let s = R::ONE / (R::ONE + (-x).exp());
+    s * (R::ONE + x * (R::ONE - s))
 }
 
 /// Energy + forces of one evaluation.
@@ -209,7 +199,7 @@ impl AllegroLite {
         positions: &[Vec3],
         box_lengths: Vec3,
     ) -> EvalResult {
-        self.forward(species, positions, box_lengths, false, None).0
+        self.forward(species, positions, box_lengths, false).0
     }
 
     /// Energy, forces, and the exact parameter gradient `dE/dθ`.
@@ -219,24 +209,8 @@ impl AllegroLite {
         positions: &[Vec3],
         box_lengths: Vec3,
     ) -> (EvalResult, Vec<f64>) {
-        let (res, g) = self.forward(species, positions, box_lengths, true, None);
+        let (res, g) = self.forward(species, positions, box_lengths, true);
         (res, g.expect("param grads requested"))
-    }
-
-    /// Per-atom evaluation: energy contribution `E_0` of atom 0 only
-    /// (its species shift plus its edge energies) and the forces that
-    /// contribution exerts on every cluster atom. Because the strictly-
-    /// local energy decomposes as `E = Σ_i E_i`, summing this over all
-    /// atoms reproduces the full evaluation exactly — the property that
-    /// makes the block inference of Sec. V.B.9 lossless.
-    pub fn evaluate_center(
-        &self,
-        species: &[Species],
-        positions: &[Vec3],
-        box_lengths: Vec3,
-    ) -> EvalResult {
-        self.forward(species, positions, box_lengths, false, Some(0))
-            .0
     }
 
     fn forward(
@@ -245,7 +219,6 @@ impl AllegroLite {
         positions: &[Vec3],
         box_lengths: Vec3,
         want_pgrad: bool,
-        only_atom: Option<usize>,
     ) -> (EvalResult, Option<Vec<f64>>) {
         let n = positions.len();
         assert_eq!(species.len(), n);
@@ -261,10 +234,7 @@ impl AllegroLite {
             None
         };
         // Per-species constant shifts.
-        for (idx, &s) in species.iter().enumerate() {
-            if only_atom.is_some_and(|a| a != idx) {
-                continue;
-            }
+        for &s in species {
             energy += self.shift(species_index(s));
             if let Some(g) = pgrad.as_deref_mut() {
                 g[self.off.shifts + species_index(s)] += 1.0;
@@ -285,9 +255,6 @@ impl AllegroLite {
             pt: usize,
         }
         for i in 0..n {
-            if only_atom.is_some_and(|a| a != i) {
-                continue;
-            }
             let si = species_index(species[i]);
             let edges_in = &lists[i];
             if edges_in.is_empty() {
@@ -429,31 +396,11 @@ impl AllegroLite {
     }
 }
 
-/// Reusable scratch for [`QuantizedModel::accumulate_center`]: flat f32
-/// buffers sized by the largest neighborhood seen so far, so steady-state
-/// inference performs no heap allocation (the f64 path allocates several
-/// vectors per edge and rebuilds a cell list per atom).
-#[derive(Default)]
-pub struct QuantScratch {
-    b: Vec<f32>,
-    db: Vec<f32>,
-    x0: Vec<f32>,
-    h0: Vec<f32>,
-    x1: Vec<f32>,
-    gh0: Vec<f32>,
-    a: Vec<f32>,
-    gp: Vec<f32>,
-    pt: Vec<usize>,
-    r: Vec<f32>,
-    uhat: Vec<[f32; 3]>,
-}
-
-/// BF16-storage / f32-accumulate inference path: the oneMKL
-/// `float_to_BF16` compute mode of paper Sec. VI.C applied to the network.
-/// Every learned parameter is rounded to bf16 (round-to-nearest-even,
-/// [`bf16::quantize`]) and widened back to f32; all arithmetic then
-/// accumulates in f32. Geometry (`r`, `û`) is narrowed from the f64
-/// neighbor pairs at the kernel boundary.
+/// BF16-storage / f32-accumulate network: the oneMKL `float_to_BF16`
+/// compute mode of paper Sec. VI.C applied to the network. Every learned
+/// parameter is rounded to bf16 (round-to-nearest-even,
+/// [`bf16::quantize`]) and widened back to f32; the inference kernel then
+/// runs at `f32` over these parameters.
 ///
 /// Accuracy envelope: bf16 keeps 8 mantissa bits, so each parameter
 /// carries a relative error ≤ 2⁻⁸ ≈ 3.9×10⁻³; the shallow two-layer
@@ -462,10 +409,9 @@ pub struct QuantScratch {
 /// (property-tested across random networks in `infer.rs`).
 #[derive(Clone, Debug)]
 pub struct QuantizedModel {
-    cfg: ModelConfig,
+    pub(crate) cfg: ModelConfig,
     /// Parameters quantized through bf16, stored widened to f32.
-    params: Vec<f32>,
-    off: Offsets,
+    pub(crate) params: Vec<f32>,
 }
 
 impl QuantizedModel {
@@ -479,236 +425,18 @@ impl QuantizedModel {
         Self {
             cfg: model.cfg,
             params,
-            off: model.off,
         }
-    }
-
-    /// Hyperparameters (shared with the f64 reference model).
-    pub fn cfg(&self) -> ModelConfig {
-        self.cfg
-    }
-
-    /// Cutoff radius (Å) — for building the shared neighbor lists.
-    pub fn rcut(&self) -> f64 {
-        self.cfg.rcut
     }
 
     pub fn n_params(&self) -> usize {
-        self.off.total
-    }
-
-    #[inline]
-    fn w0(&self, pt: usize, h: usize, k: usize) -> f32 {
-        self.params[self.off.w0 + (pt * self.cfg.hidden + h) * self.cfg.k_max + k]
-    }
-
-    #[inline]
-    fn b0(&self, pt: usize, h: usize) -> f32 {
-        self.params[self.off.b0 + pt * self.cfg.hidden + h]
-    }
-
-    #[inline]
-    fn wv(&self, h: usize) -> f32 {
-        self.params[self.off.wv + h]
-    }
-
-    #[inline]
-    fn u(&self, h: usize, z: usize) -> f32 {
-        self.params[self.off.u + h * (self.cfg.hidden + 2) + z]
-    }
-
-    #[inline]
-    fn b1(&self, h: usize) -> f32 {
-        self.params[self.off.b1 + h]
-    }
-
-    #[inline]
-    fn we(&self, h: usize) -> f32 {
-        self.params[self.off.we + h]
-    }
-
-    #[inline]
-    fn shift(&self, s: usize) -> f32 {
-        self.params[self.off.shifts + s]
-    }
-
-    /// f32 mirror of [`RadialBasis::eval_with_deriv`].
-    fn basis32(&self, r: f32, val: &mut [f32], dval: &mut [f32]) {
-        let rc = self.cfg.rcut as f32;
-        let a = std::f32::consts::PI / rc;
-        let (fc, dfc) = if r >= rc {
-            (0.0, 0.0)
-        } else {
-            (0.5 * ((a * r).cos() + 1.0), -0.5 * a * (a * r).sin())
-        };
-        let inv_r = 1.0 / r.max(1e-12);
-        for (k, (v, dv)) in val.iter_mut().zip(dval.iter_mut()).enumerate() {
-            let kk = (k + 1) as f32;
-            let s = (kk * a * r).sin();
-            let c = (kk * a * r).cos();
-            let g = s * inv_r;
-            let dg = (kk * a * c - s * inv_r) * inv_r;
-            *v = g * fc;
-            *dv = dg * fc + g * dfc;
-        }
-    }
-
-    /// Energy contribution of atom `i` (its species shift plus its edge
-    /// energies) evaluated directly on its cached neighbor `pairs`, with
-    /// the forces that contribution exerts accumulated into `forces`
-    /// (widened back to f64). Summed over all atoms this reproduces the
-    /// full evaluation, exactly as the f64 `evaluate_center` path does —
-    /// but without per-atom cluster construction or heap allocation.
-    pub fn accumulate_center(
-        &self,
-        scratch: &mut QuantScratch,
-        species: &[Species],
-        pairs: &[Pair],
-        i: usize,
-        forces: &mut [Vec3],
-    ) -> f64 {
-        let hdim = self.cfg.hidden;
-        let kdim = self.cfg.k_max;
-        let si = species_index(species[i]);
-        let mut energy = self.shift(si);
-        let ne = pairs.len();
-        if ne == 0 {
-            return energy as f64;
-        }
-        scratch.b.clear();
-        scratch.b.resize(ne * kdim, 0.0);
-        scratch.db.clear();
-        scratch.db.resize(ne * kdim, 0.0);
-        scratch.x0.clear();
-        scratch.x0.resize(ne * hdim, 0.0);
-        scratch.h0.clear();
-        scratch.h0.resize(ne * hdim, 0.0);
-        scratch.x1.clear();
-        scratch.x1.resize(ne * hdim, 0.0);
-        scratch.gh0.clear();
-        scratch.gh0.resize(ne * hdim, 0.0);
-        scratch.a.clear();
-        scratch.a.resize(ne, 0.0);
-        scratch.gp.clear();
-        scratch.gp.resize(ne, 0.0);
-        scratch.pt.clear();
-        scratch.pt.resize(ne, 0);
-        scratch.r.clear();
-        scratch.r.resize(ne, 0.0);
-        scratch.uhat.clear();
-        scratch.uhat.resize(ne, [0.0; 3]);
-        // ---- forward: layer 0 + vector channel ----
-        let mut v = [0.0f32; 3];
-        for (e, pr) in pairs.iter().enumerate() {
-            let r = pr.r as f32;
-            let uh = [
-                (pr.dr.x / pr.r) as f32,
-                (pr.dr.y / pr.r) as f32,
-                (pr.dr.z / pr.r) as f32,
-            ];
-            let pt = 3 * si + species_index(species[pr.j]);
-            scratch.r[e] = r;
-            scratch.uhat[e] = uh;
-            scratch.pt[e] = pt;
-            let bk = &mut scratch.b[e * kdim..(e + 1) * kdim];
-            let dbk = &mut scratch.db[e * kdim..(e + 1) * kdim];
-            self.basis32(r, bk, dbk);
-            let x0e = &mut scratch.x0[e * hdim..(e + 1) * hdim];
-            let h0e = &mut scratch.h0[e * hdim..(e + 1) * hdim];
-            let mut a_e = 0.0f32;
-            for (h, (x0h, h0h)) in x0e.iter_mut().zip(h0e.iter_mut()).enumerate() {
-                let mut acc = self.b0(pt, h);
-                for (k, &bv) in bk.iter().enumerate() {
-                    acc += self.w0(pt, h, k) * bv;
-                }
-                *x0h = acc;
-                let hh = silu32(acc);
-                *h0h = hh;
-                a_e += self.wv(h) * hh;
-            }
-            scratch.a[e] = a_e;
-            v[0] += uh[0] * a_e;
-            v[1] += uh[1] * a_e;
-            v[2] += uh[2] * a_e;
-        }
-        let q = v[0] * v[0] + v[1] * v[1] + v[2] * v[2];
-        // ---- layer 1 + energy ----
-        for (e, x1e) in scratch.x1.chunks_exact_mut(hdim).take(ne).enumerate() {
-            let uh = scratch.uhat[e];
-            let p_e = v[0] * uh[0] + v[1] * uh[1] + v[2] * uh[2];
-            // p is recomputed in the reverse pass from uhat; gp stages it.
-            let h0e = &scratch.h0[e * hdim..(e + 1) * hdim];
-            for (h, x1h) in x1e.iter_mut().enumerate() {
-                let mut acc = self.b1(h);
-                for (z, &h0z) in h0e.iter().enumerate() {
-                    acc += self.u(h, z) * h0z;
-                }
-                acc += self.u(h, hdim) * q;
-                acc += self.u(h, hdim + 1) * p_e;
-                *x1h = acc;
-                energy += self.we(h) * silu32(acc);
-            }
-        }
-        // ---- reverse pass A: gq, gp, gh0 through layer 1 ----
-        let mut gq = 0.0f32;
-        for (e, x1e) in scratch.x1.chunks_exact(hdim).take(ne).enumerate() {
-            let gh0e = &mut scratch.gh0[e * hdim..(e + 1) * hdim];
-            for (h, &x1h) in x1e.iter().enumerate() {
-                let gx1 = self.we(h) * silu_deriv32(x1h);
-                for (z, g0) in gh0e.iter_mut().enumerate() {
-                    *g0 += gx1 * self.u(h, z);
-                }
-                gq += gx1 * self.u(h, hdim);
-                scratch.gp[e] += gx1 * self.u(h, hdim + 1);
-            }
-        }
-        // ---- vector-channel gradient ----
-        let mut gv = [v[0] * 2.0 * gq, v[1] * 2.0 * gq, v[2] * 2.0 * gq];
-        for (uh, &gpe) in scratch.uhat.iter().zip(&scratch.gp) {
-            gv[0] += uh[0] * gpe;
-            gv[1] += uh[1] * gpe;
-            gv[2] += uh[2] * gpe;
-        }
-        // ---- reverse pass B: per-edge chains → forces ----
-        for (e, pr) in pairs.iter().enumerate() {
-            let uh = scratch.uhat[e];
-            let a_e = scratch.a[e];
-            let gpe = scratch.gp[e];
-            let pt = scratch.pt[e];
-            let ga = uh[0] * gv[0] + uh[1] * gv[1] + uh[2] * gv[2];
-            let x0e = &scratch.x0[e * hdim..(e + 1) * hdim];
-            let gh0e = &scratch.gh0[e * hdim..(e + 1) * hdim];
-            let dbe = &scratch.db[e * kdim..(e + 1) * kdim];
-            let mut gr = 0.0f32;
-            for (h, (&x0h, &gh0l1)) in x0e.iter().zip(gh0e.iter()).enumerate() {
-                let gh0 = gh0l1 + self.wv(h) * ga;
-                let gx0 = gh0 * silu_deriv32(x0h);
-                for (k, &dbv) in dbe.iter().enumerate() {
-                    gr += gx0 * self.w0(pt, h, k) * dbv;
-                }
-            }
-            let gu = [
-                v[0] * gpe + gv[0] * a_e,
-                v[1] * gpe + gv[1] * a_e,
-                v[2] * gpe + gv[2] * a_e,
-            ];
-            let udot = uh[0] * gu[0] + uh[1] * gu[1] + uh[2] * gu[2];
-            let inv_r = 1.0 / scratch.r[e];
-            let g_dr = Vec3::new(
-                (uh[0] * gr + (gu[0] - uh[0] * udot) * inv_r) as f64,
-                (uh[1] * gr + (gu[1] - uh[1] * udot) * inv_r) as f64,
-                (uh[2] * gr + (gu[2] - uh[2] * udot) * inv_r) as f64,
-            );
-            forces[pr.j] -= g_dr;
-            forces[i] += g_dr;
-        }
-        energy as f64
+        self.params.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::{block_evaluate_many_bf16, ForceRequest};
 
     /// A small random cluster in a huge box (effectively open boundary,
     /// so rotations are exact symmetries).
@@ -906,23 +634,21 @@ mod tests {
         );
     }
 
-    /// Full quantized-path evaluation over a system: sum of
-    /// `accumulate_center` over all atoms with shared neighbor lists.
+    /// Full quantized-path evaluation over a system.
     fn quantized_evaluate(
         qm: &QuantizedModel,
         species: &[Species],
         positions: &[Vec3],
         bl: Vec3,
     ) -> (f64, Vec<Vec3>) {
-        let cl = CellList::build(positions, bl, qm.rcut());
-        let lists = cl.full_lists(positions);
-        let mut scratch = QuantScratch::default();
-        let mut energy = 0.0;
-        let mut forces = vec![Vec3::ZERO; positions.len()];
-        for (i, neigh) in lists.iter().enumerate() {
-            energy += qm.accumulate_center(&mut scratch, species, neigh, i, &mut forces);
-        }
-        (energy, forces)
+        let rq = ForceRequest {
+            species,
+            positions,
+            box_lengths: bl,
+            n_batches: 1,
+        };
+        let res = block_evaluate_many_bf16(qm, &[rq]).remove(0);
+        (res.energy, res.forces)
     }
 
     #[test]

@@ -4,8 +4,9 @@
 #   scripts/tier1.sh
 #
 # Runs the release build, the full workspace test suite (unit, property,
-# integration, and doc tests), and the formatting check. Exits non-zero on
-# the first failure.
+# integration, and doc tests), the bench and benchmark smokes, and the
+# doc, link, formatting and lint checks. Exits non-zero on the first
+# failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -15,15 +16,6 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
-
-echo "==> cargo test -q --test dc_dist  (multi-rank DC-SCF vs serial oracle)"
-cargo test -q --test dc_dist
-
-echo "==> cargo test -q --test mesh_dist  (multi-rank MESH driver vs serial oracle)"
-cargo test -q --test mesh_dist
-
-echo "==> cargo test -q --test checkpoint_warm_start  (checkpoint round-trip + warm-start bit-identity)"
-cargo test -q --test checkpoint_warm_start
 
 echo "==> cargo bench -p mlmd-bench --bench dc_scaling -- --test  (smoke)"
 cargo bench -p mlmd-bench --bench dc_scaling -- --test
@@ -37,32 +29,23 @@ cargo bench -p mlmd-bench --bench mesh_scaling -- --test
 echo "==> cargo bench -p mlmd-bench --bench warm_start -- --test  (smoke)"
 cargo bench -p mlmd-bench --bench warm_start -- --test
 
-echo "==> cargo test -q --test service_scheduler  (job service: ordering, dedup, cancellation, backpressure)"
-cargo test -q --test service_scheduler
-
 echo "==> cargo bench -p mlmd-bench --bench service_load -- --test  (smoke)"
 cargo bench -p mlmd-bench --bench service_load -- --test
-
-echo "==> cargo test -q --test planner  (calibrated cost model: 2x prediction pin + admission gate)"
-cargo test -q --test planner
 
 echo "==> cargo bench -p mlmd-bench --bench planner -- --test  (smoke)"
 cargo bench -p mlmd-bench --bench planner -- --test
 
-echo "==> cargo test -q --test floquet_sweep  (Floquet workload: transition detection through the planner-gated service)"
-cargo test -q --test floquet_sweep
-
 echo "==> cargo bench -p mlmd-bench --bench floquet -- --test  (smoke + <10% observer-overhead assert)"
 cargo bench -p mlmd-bench --bench floquet -- --test
-
-echo "==> cargo test -q -p mlmd-numerics --test kernel_oracle  (blocked/strided/parallel GEMM vs naive oracle, bit-for-bit)"
-cargo test -q -p mlmd-numerics --test kernel_oracle
 
 echo "==> cargo bench -p mlmd-bench --bench hotspots -- --test  (smoke + blocked>=1.3x naive GEMM gate)"
 cargo bench -p mlmd-bench --bench hotspots -- --test
 
 echo "==> cargo bench -p mlmd-bench --bench precision -- --test  (smoke + bf16 accuracy-envelope assert)"
 cargo bench -p mlmd-bench --bench precision -- --test
+
+echo "==> benchmark/run.sh --smoke  (all six BENCHMARK.json workloads, every output check, 0 failed)"
+CARGO_TARGET_DIR="$PWD/target" benchmark/run.sh --smoke
 
 echo "==> cargo doc --no-deps  (warnings as errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

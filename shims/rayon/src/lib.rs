@@ -18,8 +18,7 @@
 //! worker threads carry their registry in a thread-local set at spawn, so
 //! a nested parallel call inside a worker fans out to the pool width, not
 //! to full hardware width (the oversubscription bug of the old per-call
-//! scoped-thread implementation, which survives only behind the
-//! `static-partition` feature as an A/B benchmarking baseline).
+//! scoped-thread implementation).
 
 mod registry;
 
@@ -235,7 +234,6 @@ impl ThreadPoolBuilder {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    #[cfg(not(feature = "static-partition"))]
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -300,7 +298,6 @@ mod tests {
     /// hardware width, and concurrent closure executions must never exceed
     /// the installed width.
     #[test]
-    #[cfg(not(feature = "static-partition"))]
     fn nested_install_keeps_pool_width() {
         let pool = crate::ThreadPoolBuilder::new()
             .num_threads(2)
@@ -370,7 +367,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(not(feature = "static-partition"))]
     fn panics_propagate_to_the_submitter() {
         let pool = crate::ThreadPoolBuilder::new()
             .num_threads(2)

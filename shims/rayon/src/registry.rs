@@ -250,10 +250,7 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    /// Spawn `width - 1` persistent workers. Under the `static-partition`
-    /// baseline feature no workers exist: jobs fall back to per-call
-    /// scoped threads (the pre-work-stealing behavior kept for A/B
-    /// benchmarking).
+    /// Spawn `width - 1` persistent workers.
     pub(crate) fn new(width: usize) -> (Arc<Self>, Vec<JoinHandle<()>>) {
         let registry = Arc::new(Registry {
             width,
@@ -263,12 +260,7 @@ impl Registry {
             }),
             work_ready: Condvar::new(),
         });
-        let helpers = if cfg!(feature = "static-partition") {
-            0
-        } else {
-            width.saturating_sub(1)
-        };
-        let handles = (0..helpers)
+        let handles = (0..width.saturating_sub(1))
             .map(|i| {
                 let r = Arc::clone(&registry);
                 std::thread::Builder::new()
@@ -380,9 +372,6 @@ where
         return items.into_iter().map(f).collect();
     }
     assert!(len < u32::MAX as usize, "job too large for packed cursors");
-    if cfg!(feature = "static-partition") {
-        return static_partition_map(items, f, width);
-    }
 
     let registry = current_registry();
     let mut items = items;
@@ -431,30 +420,4 @@ where
         let mut out = std::mem::ManuallyDrop::new(out);
         Vec::from_raw_parts(out.as_mut_ptr().cast::<O>(), len, out.capacity())
     }
-}
-
-/// The pre-work-stealing execution strategy (PR 1): fresh scoped threads
-/// per call, static contiguous buckets, no rebalancing. Kept behind the
-/// `static-partition` feature as the A/B baseline for the scaling bench.
-fn static_partition_map<I, O, F>(items: Vec<I>, f: &F, width: usize) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    let chunk = items.len().div_ceil(width);
-    let mut buckets: Vec<Vec<I>> = (0..width).map(|_| Vec::with_capacity(chunk)).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        buckets[i / chunk].push(item);
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| scope.spawn(move || bucket.into_iter().map(f).collect::<Vec<O>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("rayon shim worker panicked"))
-            .collect()
-    })
 }
