@@ -9,8 +9,9 @@
 //!   propagator exactly once and yields a typed per-step record.
 //!   Implemented here for [`MeshDriver`] (DC-MESH), [`MdStage`] (velocity
 //!   Verlet + Langevin + any [`ForceField`] — the pipeline's prepare and
-//!   respond stages), [`PulsedYee`] / [`PulsedMultiscale`] (FDTD light),
-//!   and [`NnMdLoop`] (the XS-NNQMD MD loop).
+//!   respond stages, and the XS-NNQMD MD loop when the force field is an
+//!   `NnForceField`), [`PulsedYee`] / [`PulsedMultiscale`] (FDTD light),
+//!   and [`NnMdEnsemble`] (lockstep NNQMD domains, one inference call).
 //! * [`Observer`] — what to do with each record. Sampling cadence is a
 //!   [`SampleStride`] config value, not a hardcoded `step % 10`.
 //! * [`Engine`] — the run loop gluing a stepper to an observer.
@@ -31,7 +32,7 @@
 use mlmd_dcmesh::dist_mesh::DistributedMeshDriver;
 use mlmd_dcmesh::mesh::{MeshDriver, MeshStepRecord};
 use mlmd_maxwell::driver::{FieldRecord, MultiscaleRecord, PulsedMultiscale, PulsedYee};
-use mlmd_nnqmd::md::{NnForceField, NnMdLoop, NnMdRecord};
+use mlmd_nnqmd::md::{NnForceField, NnMdRecord};
 use mlmd_nnqmd::NnMdEnsemble;
 use mlmd_qxmd::ferro::FerroModel;
 use mlmd_qxmd::integrator::ForceField;
@@ -459,18 +460,6 @@ impl Stepper for PulsedMultiscale {
 
     fn time_fs(&self) -> f64 {
         self.time()
-    }
-}
-
-impl Stepper for NnMdLoop {
-    type Record = NnMdRecord;
-
-    fn step(&mut self) -> NnMdRecord {
-        self.advance()
-    }
-
-    fn time_fs(&self) -> f64 {
-        NnMdLoop::time_fs(self)
     }
 }
 

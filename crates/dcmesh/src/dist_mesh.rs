@@ -1,68 +1,28 @@
-//! Rank-parallel MESH step driver — the Maxwell/Ehrenfest/hopping loop of
-//! paper Eq. (2), run for real on simulated-MPI ranks (the sharding the
-//! ROADMAP names as the seam the PR 4 engine layer plugs into).
+//! The MESH step driver on simulated-MPI ranks: one communicator per
+//! domain, one [`MeshDriver`] replica per rank.
 //!
-//! [`DistributedMeshDriver`] mirrors the [`crate::dist::DistributedDcScf`]
-//! pattern: it runs inside [`World::run`], uses [`Hierarchy::build`] to
-//! give each MESH domain (one laser-driven QM patch — e.g. the lit and
-//! dark runs of a pump–probe pair) its own communicator, keeps the
-//! domain's full driver state replicated on every rank of its group, and
-//! advances it through the *same per-domain kernel functions* the serial
-//! [`MeshDriver`] calls — with the column-local kernels sharded by
-//! [`Hierarchy::band_range`]:
+//! The MD step itself is not here — `MeshDriver::step_in` is the one step
+//! body, parameterised by the domain communicator (band-sharded above one
+//! rank, the serial program at one). [`DistributedMeshDriver`] owns only
+//! what needs the world:
 //!
-//! * **Ehrenfest propagation** — each rank propagates its orbital block
-//!   through all `N_QD` inner steps
-//!   ([`crate::ehrenfest::propagate_columns`]; the potential is frozen
-//!   between shadow handshakes, so the split-operator step is exactly
-//!   column-local), then one [`Comm::allgather_vec`] of the sub-panels
-//!   reassembles the full panel and another gathers the per-orbital
-//!   current terms, which every rank folds identically into the current
-//!   trace, absorbed energy, and final vector potential
-//!   ([`crate::ehrenfest::fold_inner_loop`]);
-//! * **excitation measurement** — per-state projection terms are sharded
-//!   by band range, allgathered, and folded in band order
-//!   ([`crate::mesh`]'s `excitation_state_term`/`fold_excitation`);
-//! * **band energies** — sharded by band range and allgathered
-//!   ([`crate::scf::band_energy_columns`]);
-//! * **surface hopping, QXMD, shadow handshake, topological-charge
-//!   accumulation** — orbital/atom-coupling steps, run redundantly on
-//!   replicated inputs (NACs from the replicated before/after panels, the
-//!   hopping master equation, velocity Verlet, Δv_loc assembly, and the
-//!   patch-texture charge of the per-step record);
-//! * **boundary E/J exchange** — after the inner loop, the domain roots
-//!   publish their boundary macroscopic current `J` and Joule absorption
-//!   to every rank with one [`Comm::allreduce_sum_vec`] over the world
-//!   communicator (one non-zero slot per domain — the quantities a
-//!   macroscopic Maxwell grid update consumes, paper Sec. V.B.5), exposed
-//!   as [`MeshExchange`].
-//!
-//! # Bit-identity to the serial oracle
-//!
-//! The serial [`MeshDriver`] stays as the oracle, and the integration
-//! suite (`tests/mesh_dist.rs`) pins this driver's trajectory — band
-//! energies, per-step topological charges, and the mesh-trace FNV
-//! digest — to it **bit-for-bit** at 1, 2, and 4 ranks per domain. No
-//! tolerance is needed because no float sum is ever reordered: column
-//! propagation, current terms, excitation terms, and band energies are
-//! computed per orbital exactly as in the serial path and folded in band
-//! order; the coupling steps run redundantly on replicated inputs; and
-//! the E/J exchange adds zeros outside each domain's slot, never touching
-//! the per-domain trajectory.
-//!
-//! The self-consistent Hartree variant of the inner loop couples the
-//! orbitals every QD step, so for `EhrenfestConfig::self_consistent` the
-//! driver falls back to redundant full-panel propagation (still inside
-//! `World::run`, still bit-identical — just not band-sharded).
+//! * **construction** — [`Hierarchy::build`] gives each MESH domain (one
+//!   laser-driven QM patch, e.g. the lit and dark runs of a pump–probe
+//!   pair) its communicator; the domain root resolves the ground state
+//!   and broadcasts it, so the pre-descent runs once per domain;
+//! * **boundary E/J exchange** — after each step the domain roots publish
+//!   their boundary macroscopic current `J` and Joule absorption with one
+//!   [`Comm::allreduce_sum_vec`] over the world communicator (the
+//!   quantities a macroscopic Maxwell grid update consumes, paper
+//!   Sec. V.B.5), exposed as [`MeshExchange`]. One non-zero slot per
+//!   domain: the sum adds zeros elsewhere, so no per-domain value is
+//!   re-summed and the per-domain trajectory is untouched;
+//! * [`run_distributed_mesh`] — the harness `tests/mesh_dist.rs` uses to
+//!   pin 1, 2 and 4 ranks per domain bit-for-bit to [`MeshDriver::run`].
 
-use crate::ehrenfest::{fold_inner_loop, propagate_columns, EhrenfestResult};
-use crate::mesh::{self, MeshDriver, MeshDriverBuilder, MeshStepRecord};
-use crate::scf;
-use mlmd_lfd::wavefunction::WaveFunctions;
-use mlmd_maxwell::units;
+use crate::mesh::{MeshDriver, MeshDriverBuilder, MeshStepRecord};
 use mlmd_parallel::comm::{Comm, World};
 use mlmd_parallel::hier::Hierarchy;
-use mlmd_qxmd::nac::NacMatrix;
 
 /// The per-step inter-domain field bookkeeping: every domain's boundary
 /// current and Joule absorption, visible on every rank after the
@@ -169,180 +129,15 @@ impl DistributedMeshDriver {
         self.inner.time_fs()
     }
 
-    /// Band-sharded Ehrenfest inner loop: propagate this rank's orbital
-    /// block, allgather the sub-panels and current terms through the
-    /// domain communicator, install the reassembled panel device-side,
-    /// and fold the gathered terms into the serial inner-loop result.
-    /// `psi` is the caller's device-side view of the pre-step panel.
-    fn sharded_inner_loop(
-        &mut self,
-        psi: &WaveFunctions,
-        field: impl Fn(f64) -> mlmd_numerics::vec3::Vec3 + Copy,
-        t0_au: f64,
-    ) -> EhrenfestResult {
-        let cfg = self.inner.config.ehrenfest;
-        let norb = psi.norb;
-        let ngrid = psi.ngrid();
-        let cols = self.hier.band_range(norb);
-        let frozen_v = self.inner.shadow.device_potential_unmetered();
-        let a0 = self.inner.shadow.a;
-        let mut sub = WaveFunctions::zeros(psi.grid, cols.len());
-        sub.psi
-            .as_mut_slice()
-            .copy_from_slice(&psi.psi.as_slice()[cols.start * ngrid..cols.end * ngrid]);
-        let my_terms = propagate_columns(
-            &self.inner.shadow.qd,
-            &mut sub,
-            &self.inner.shadow.occupations,
-            cols.start,
-            &frozen_v,
-            a0,
-            field,
-            t0_au,
-            cfg,
-        );
-        // Sub-panels are contiguous column blocks in domain-rank order, so
-        // the concatenation *is* the column-major panel; same for the
-        // owned-column-major current terms.
-        let flat = self.hier.domain.allgather_vec(sub.psi.as_slice().to_vec());
-        let all_terms = self.hier.domain.allgather_vec(my_terms);
-        debug_assert_eq!(flat.len(), ngrid * norb);
-        let mut psi_new = WaveFunctions::zeros(psi.grid, norb);
-        psi_new.psi.as_mut_slice().copy_from_slice(&flat);
-        self.inner.shadow.upload_wavefunctions_unmetered(&psi_new);
-        let result = fold_inner_loop(
-            &all_terms,
-            norb,
-            &self.inner.shadow.occupations,
-            &psi.grid,
-            a0,
-            field,
-            t0_au,
-            cfg,
-        );
-        self.inner.shadow.a = result.a_final;
-        // The same small report payload crosses the link as in the serial
-        // shadow handshake (Δf + n_exc + J — the shadow-dynamics claim
-        // holds per replica too).
-        self.inner.shadow.record_report_payload();
-        result
-    }
-
-    /// Advance one full MESH MD step, collectively over the world.
-    ///
-    /// The body is the serial [`MeshDriver::step`] kernel sequence with
-    /// the column-local kernels sharded by band range and the coupling
-    /// kernels run redundantly — plus the world-level boundary E/J
-    /// exchange at the end of the step.
+    /// Advance one full MESH MD step, collectively over the world: the
+    /// one step body on this rank's domain communicator, then the
+    /// world-level boundary E/J exchange.
     pub fn step(&mut self) -> MeshStepRecord {
-        let cfg = self.inner.config;
-        // --- 1. LFD inner loop under the laser, band-sharded ---
-        let t0_au = units::fs_to_au(self.inner.time_fs());
-        let drive = self.inner.drive;
-        let pol = self.inner.polarization_axis;
-        let field = move |t: f64| pol * drive.field(t);
-        let psi_before = self.inner.shadow.download_wavefunctions_unmetered();
-        let norb = psi_before.norb;
-        let inner_res = if cfg.ehrenfest.self_consistent || self.hier.domain.size() == 1 {
-            // Single-rank domains take the monolithic path; the
-            // self-consistent Hartree update couples the orbitals every QD
-            // step, so it propagates the full panel redundantly too.
-            let (_, res) = self.inner.shadow.run_md_step(field, t0_au, cfg.ehrenfest);
-            res
-        } else {
-            self.sharded_inner_loop(&psi_before, field, t0_au)
-        };
-        let psi_after = self.inner.shadow.download_wavefunctions_unmetered();
-        // --- 2. excitation measurement: per-state terms sharded, folded
-        //        in band order on every rank ---
-        let cols = self.hier.band_range(norb);
-        let my_exc: Vec<f64> = cols
-            .clone()
-            .map(|s| {
-                mesh::excitation_state_term(
-                    &self.inner.psi0,
-                    &self.inner.occupied0,
-                    &self.inner.shadow.occupations,
-                    &psi_after,
-                    s,
-                )
-            })
-            .collect();
-        let exc_terms = if self.hier.domain.size() == 1 {
-            my_exc
-        } else {
-            self.hier.domain.allgather_vec(my_exc)
-        };
-        let n_exc = mesh::fold_excitation(
-            &exc_terms,
-            &self.inner.occupied0,
-            &self.inner.shadow.occupations,
-        );
-        // --- 3. surface hopping: NACs redundant on the replicated
-        //        panels, band energies sharded, master equation redundant ---
-        let dt_md_au = units::fs_to_au(cfg.dt_md_fs);
-        let nac = NacMatrix::from_overlaps(
-            &psi_before.psi,
-            &psi_after.psi,
-            psi_after.grid.dv(),
-            dt_md_au,
-        );
-        let my_eps =
-            scf::band_energy_columns(&psi_after.grid, &self.inner.last_vloc, &psi_after, cols);
-        let eps = if self.hier.domain.size() == 1 {
-            my_eps
-        } else {
-            self.hier.domain.allgather_vec(my_eps)
-        };
-        let f = mesh::hop_occupations(
-            &self.inner.hopping,
-            &self.inner.shadow.occupations,
-            &eps,
-            &nac,
-            dt_md_au,
-        );
-        self.inner.shadow.set_occupations(&f);
-        self.inner.last_eps = eps;
-        // --- 4. QXMD with excitation-reshaped forces (redundant) ---
-        let pe = mesh::advance_atoms(
-            &cfg,
-            &mut self.inner.ferro,
-            &mut self.inner.atoms,
-            n_exc,
-            self.inner.nn_term.as_deref(),
-        );
-        // --- 5. shadow handshake (redundant; every replica's device
-        //        receives the same Δv_loc) ---
-        self.inner.last_vloc = mesh::shadow_handshake(
-            &mut self.inner.shadow,
-            &psi_after.grid,
-            &self.inner.tracked_sites,
-            &self.inner.ferro,
-            &self.inner.atoms,
-            &self.inner.last_vloc,
-        );
-        self.inner.time_fs += cfg.dt_md_fs;
-        let record = mesh::make_record(
-            self.inner.time_fs,
-            n_exc,
-            inner_res.absorbed_energy,
-            &self.inner.ferro,
-            &self.inner.atoms,
-            f,
-            pe,
-        );
-        // --- 6. boundary E/J exchange across domains: one non-zero slot
-        //        per domain, so no per-domain value is ever re-summed ---
-        let nd = self.hier.n_domains;
-        let mut contrib = vec![0.0; 2 * nd];
+        let (record, inner) = self.inner.step_in(Some(&self.hier.domain));
+        let mut contrib = vec![0.0; 2 * self.hier.n_domains];
         if self.hier.domain.rank() == 0 {
-            let j_mean = if inner_res.current_trace.is_empty() {
-                0.0
-            } else {
-                inner_res.current_trace.iter().sum::<f64>() / inner_res.current_trace.len() as f64
-            };
-            contrib[2 * self.hier.domain_index] = j_mean;
-            contrib[2 * self.hier.domain_index + 1] = inner_res.absorbed_energy;
+            contrib[2 * self.hier.domain_index] = inner.mean_current();
+            contrib[2 * self.hier.domain_index + 1] = inner.absorbed_energy;
         }
         let table = self.hier.world.allreduce_sum_vec(contrib);
         self.last_exchange = Some(MeshExchange {

@@ -49,6 +49,18 @@ pub struct EhrenfestResult {
     pub a_final: Vec3,
 }
 
+impl EhrenfestResult {
+    /// Mean of the current trace over the loop (0 for an empty loop) — the
+    /// boundary J an MD step reports.
+    pub(crate) fn mean_current(&self) -> f64 {
+        if self.current_trace.is_empty() {
+            0.0
+        } else {
+            self.current_trace.iter().sum::<f64>() / self.current_trace.len() as f64
+        }
+    }
+}
+
 /// Run `n_qd` QD steps under a time-dependent uniform field.
 ///
 /// `frozen_v` is the QXMD-provided local potential (ions + xc + Hartree at
@@ -121,19 +133,18 @@ pub fn pulse_field(drive: impl Into<Drive>, polarization: Vec3) -> impl Fn(f64) 
 /// With a frozen potential the split-operator step is exactly
 /// column-local, so propagating a sub-panel produces the same orbitals
 /// bit-for-bit as propagating them inside the full panel — this is what
-/// lets the distributed MESH driver shard the loop by
-/// [`mlmd_parallel::hier::Hierarchy::band_range`] and recombine with one
-/// `allgather_vec` per MD step. The self-consistent Hartree update
-/// couples the orbitals every QD step and is therefore not shardable this
-/// way (the distributed driver falls back to redundant full-panel
-/// propagation for it).
+/// lets `ShadowDomain::run_md_step_sharded` split the loop over a band
+/// group and recombine with allgathers. The self-consistent Hartree
+/// update couples the orbitals every QD step and is therefore not
+/// shardable this way (the MESH step propagates the full panel
+/// redundantly for it).
 ///
 /// The returned terms are laid out owned-column-major
 /// (`[local_col * n_qd + step]`), so concatenating the blocks of
 /// consecutive ranks yields the orbital-major layout
 /// [`fold_inner_loop`] consumes.
 #[allow(clippy::too_many_arguments)] // physics driver: mirrors run_inner_loop's signature + the column range
-pub fn propagate_columns(
+pub(crate) fn propagate_columns(
     qd: &QdStep,
     sub: &mut WaveFunctions,
     occ: &Occupations,
@@ -178,7 +189,7 @@ pub fn propagate_columns(
 /// non-self-consistent path exactly, so the fold is bit-identical to the
 /// monolithic loop.
 #[allow(clippy::too_many_arguments)] // physics driver: mirrors run_inner_loop's signature + the term table
-pub fn fold_inner_loop(
+pub(crate) fn fold_inner_loop(
     terms: &[mlmd_lfd::current::OrbitalCurrentTerm],
     norb: usize,
     occ: &Occupations,
@@ -348,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_inner_loop_matches_monolithic_bitwise() {
+    fn column_sharded_loop_matches_monolithic_bitwise() {
         // propagate_columns + fold_inner_loop over any column partition
         // must reproduce run_inner_loop exactly: trace, absorbed energy,
         // final vector potential, and the propagated panel itself.

@@ -56,9 +56,9 @@ pub fn small_serial_scf() -> crate::scf::DcScf {
 ///
 /// Every surface that compares the distributed MESH driver against the
 /// serial oracle — the `mesh`/`dist_mesh` unit tests, the root
-/// `mesh_dist` integration suite, the `mesh_scaling` bench group, and the
-/// `distributed_mesh` example — builds exactly this driver, mirroring
-/// what [`small_two_domain`] does for the SCF comparisons.
+/// `mesh_dist` integration suite and the `distributed_mesh` example —
+/// builds exactly this driver, mirroring what [`small_two_domain`] does
+/// for the SCF comparisons.
 pub fn small_mesh_driver(e0: f64) -> crate::mesh::MeshDriver {
     small_mesh_builder(e0).build()
 }

@@ -13,16 +13,16 @@
 //!   (the GSLF/GSLD solver split of Sec. V.A.2).
 //! * [`ehrenfest`] — the N_QD-step inner loop of Eq. (2): split-operator
 //!   QD steps under frozen Δv with the self-consistent time-reversible
-//!   Hartree update of ref \[43\], plus the band-sharded
-//!   [`ehrenfest::propagate_columns`]/[`ehrenfest::fold_inner_loop`]
-//!   kernel pair the distributed driver runs it through.
+//!   Hartree update of ref \[43\], plus the column-propagate / fold
+//!   kernel pair a band group runs it through.
 //! * [`shadow`] — shadow dynamics (Sec. V.A.3): GPU-resident wave
 //!   functions, CPU↔GPU handshake limited to Δv_loc (down) and
 //!   Δf / n_exc / J (up), byte-accounted so tests can assert the
 //!   O(occupations) transfer claim.
 //! * [`mesh`] — the full MESH step driver: Maxwell field ↔ Ehrenfest
 //!   electrons ↔ surface hopping ↔ QXMD atoms, with per-step
-//!   topological-charge accumulation of the QM patch.
+//!   topological-charge accumulation of the QM patch. The step is written
+//!   once, over the domain's band group; one rank is the serial case.
 //! * [`checkpoint`] — ground-state checkpointing and warm starts: the
 //!   converged pre-descent panel as a first-class, FNV-keyed artifact
 //!   ([`checkpoint::GroundState`]) that can be cached in-process
@@ -37,35 +37,31 @@
 //!
 //! # Distributed vs. serial oracle
 //!
-//! Both rank-parallel drivers follow one discipline, and both keep their
-//! serial counterpart alive *as the oracle*:
-//!
-//! | distributed driver | serial oracle | pinned by |
-//! |---|---|---|
-//! | [`dist::DistributedDcScf`] | [`scf::DcScf`] | `tests/dc_dist.rs` |
-//! | [`dist_mesh::DistributedMeshDriver`] | [`mesh::MeshDriver`] | `tests/mesh_dist.rs` |
+//! | on ranks | on one rank | shared code | pinned by |
+//! |---|---|---|---|
+//! | [`dist::DistributedDcScf`] | [`scf::DcScf`] (kept as the oracle) | [`scf::run_scf_loop`], [`scf::descend_columns`] and the column kernels | `tests/dc_dist.rs` |
+//! | [`dist_mesh::DistributedMeshDriver`] | [`mesh::MeshDriver`] | the whole step: one body, `MeshDriver::step_in`, taking the domain communicator | `tests/mesh_dist.rs` |
 //!
 //! Each runs inside [`mlmd_parallel::comm::World::run`] with one
 //! communicator per domain ([`mlmd_parallel::hier::Hierarchy::build`]).
 //! Work that reads and writes a single orbital column — SCF descent and
 //! subspace-Hamiltonian columns; MESH Ehrenfest propagation, current
 //! terms, excitation terms, band energies — is sharded by
-//! [`mlmd_parallel::hier::Hierarchy::band_range`] and recombined with
-//! `allgather_vec` in band order. Orbital- and atom-coupling steps —
-//! Gram–Schmidt, Rayleigh–Ritz, density mixing and the multigrid solve on
-//! the SCF side; NACs, the hopping master equation, velocity Verlet, the
-//! shadow handshake, and the per-step topological charge on the MESH
-//! side — run redundantly on replicated inputs. World-level reductions
-//! (the SCF density recombine and band-energy total; the MESH boundary
-//! E/J exchange) carry exactly one non-zero contribution per domain, so
-//! the left-fold over ranks reproduces the serial domain-loop order.
+//! [`mlmd_parallel::hier::partition`] and recombined with `allgather_vec`
+//! in band order. Orbital- and atom-coupling steps — Gram–Schmidt,
+//! Rayleigh–Ritz, density mixing and the multigrid solve on the SCF side;
+//! NACs, the hopping master equation, velocity Verlet, the shadow
+//! handshake, and the per-step topological charge on the MESH side — run
+//! redundantly on replicated inputs. World-level reductions (the SCF
+//! density recombine and band-energy total; the MESH boundary E/J
+//! exchange) carry exactly one non-zero contribution per domain, so the
+//! left-fold over ranks reproduces the serial domain-loop order.
 //!
-//! Because the serial drivers are refactored into the *same kernel
-//! functions* the distributed drivers call ([`scf::run_scf_loop`],
-//! [`scf::descend_columns`], `mesh`'s step kernels), no float sum is ever
-//! reordered and the distributed trajectories match the serial oracles
-//! **bit-for-bit** at 1, 2, and 4 ranks per domain — no tolerances
-//! anywhere in the comparison suites.
+//! No float sum is ever reordered, so trajectories at 2 and 4 ranks per
+//! domain match one rank **bit-for-bit** — no tolerances anywhere in the
+//! comparison suites. For MESH the one-rank case is the serial driver by
+//! construction; what the suite compares is the sharded-and-gathered
+//! inner loop against the monolithic [`ehrenfest::run_inner_loop`].
 
 pub mod checkpoint;
 pub mod dist;

@@ -16,8 +16,8 @@
 //!    the device (O(Ngrid)), closing the loop.
 
 use crate::checkpoint::{self, DescentMeta, GroundState, WarmStart};
-use crate::ehrenfest::EhrenfestConfig;
-use crate::scf::band_energies;
+use crate::ehrenfest::{EhrenfestConfig, EhrenfestResult};
+use crate::scf::band_energy_columns;
 use crate::shadow::ShadowDomain;
 use mlmd_lfd::occupation::Occupations;
 use mlmd_lfd::potential::{ionic_potential, AtomSite};
@@ -26,7 +26,9 @@ use mlmd_maxwell::source::{Drive, GaussianPulse};
 use mlmd_maxwell::units;
 use mlmd_numerics::grid::Grid3;
 use mlmd_numerics::vec3::Vec3;
+use mlmd_parallel::comm::Comm;
 use mlmd_parallel::device::TransferLedger;
+use mlmd_parallel::hier::partition;
 use mlmd_qxmd::atoms::AtomsSystem;
 use mlmd_qxmd::ferro::FerroModel;
 use mlmd_qxmd::hopping::SurfaceHopping;
@@ -307,11 +309,8 @@ impl MeshDriverBuilder {
 }
 
 /// The integrated MESH driver for one DC domain coupled to a QXMD
-/// supercell.
-///
-/// Fields the distributed driver (`crate::dist_mesh`) replicates per rank
-/// and advances through the shared kernel functions below are
-/// `pub(crate)`; everything else is public API.
+/// supercell. `crate::dist_mesh::DistributedMeshDriver` holds one replica
+/// per rank and advances it through the same `MeshDriver::step_in`.
 pub struct MeshDriver {
     pub config: MeshConfig,
     pub shadow: ShadowDomain,
@@ -323,21 +322,21 @@ pub struct MeshDriver {
     /// model in the QXMD stage (see [`MeshDriverBuilder::nn_term`]).
     pub nn_term: Option<Arc<dyn ForceField + Send + Sync>>,
     /// Reference orbital panel (t = 0) for excitation projection.
-    pub(crate) psi0: WaveFunctions,
+    psi0: WaveFunctions,
     /// Which reference states were occupied at t = 0 (the projection
     /// target: promotion *out of this subset* is excitation, even into
     /// the panel's own virtual states).
-    pub(crate) occupied0: Vec<bool>,
+    occupied0: Vec<bool>,
     /// The LFD atom sites tracking selected QXMD degrees of freedom:
     /// (cell index, base site). The Ti displacement of that cell moves the
     /// site, producing the Δv_loc of the shadow handshake.
-    pub(crate) tracked_sites: Vec<(usize, AtomSite)>,
-    pub(crate) last_vloc: Vec<f64>,
-    pub(crate) time_fs: f64,
-    pub(crate) hopping: SurfaceHopping,
+    tracked_sites: Vec<(usize, AtomSite)>,
+    last_vloc: Vec<f64>,
+    time_fs: f64,
+    hopping: SurfaceHopping,
     /// Band energies ε_s of the last step's post-propagation panel (the
     /// surface-hopping inputs; empty before the first step).
-    pub(crate) last_eps: Vec<f64>,
+    last_eps: Vec<f64>,
 }
 
 impl MeshDriver {
@@ -424,38 +423,77 @@ impl MeshDriver {
         patch_topological_charge(&self.ferro, &self.atoms)
     }
 
-    /// Advance one full MESH MD step.
-    ///
-    /// The body is a sequence of the per-domain kernel functions below —
-    /// the exact functions the distributed driver
-    /// (`crate::dist_mesh::DistributedMeshDriver`) calls, which is what
-    /// makes the serial driver its bit-for-bit oracle (the same seam
-    /// [`crate::scf::run_scf_loop`] provides for the SCF drivers).
+    /// Advance one full MESH MD step on this rank alone.
     pub fn step(&mut self) -> MeshStepRecord {
+        self.step_in(None).0
+    }
+
+    /// The MESH MD step, written once for any rank count: `domain` is the
+    /// communicator of the ranks replicating this driver (paper
+    /// Sec. V.A.1: one communicator per domain, band-space decomposition
+    /// inside it). Also returns the inner-loop result, which the
+    /// distributed wrapper publishes in its world-level E/J exchange.
+    ///
+    /// `None` or a one-rank communicator is the whole panel on this rank:
+    /// the monolithic [`ShadowDomain::run_md_step`], band range
+    /// `0..norb`, no collective. With more ranks the kernels that read and
+    /// write a single orbital column run on this rank's
+    /// `partition(norb, size, rank)` block and are allgathered in rank
+    /// order, which *is* band order:
+    ///
+    /// * **Ehrenfest propagation** — `ShadowDomain::run_md_step_sharded`:
+    ///   two allgathers (sub-panels, per-orbital current terms), folded
+    ///   identically on every rank;
+    /// * **excitation terms**, **band energies** — one allgather each.
+    ///
+    /// The kernels that couple orbitals or atoms — NACs, the hopping
+    /// master equation, QXMD, the shadow handshake, the record — run
+    /// redundantly on the replicated state. So does the whole inner loop
+    /// under `EhrenfestConfig::self_consistent`, whose Hartree update
+    /// couples the orbitals every QD step. Every per-orbital value is
+    /// computed exactly as on one rank and folded in band order, so no
+    /// float sum is reordered and the trajectory is bit-identical at any
+    /// rank count (`tests/mesh_dist.rs`).
+    pub(crate) fn step_in(&mut self, domain: Option<&Comm>) -> (MeshStepRecord, EhrenfestResult) {
         let cfg = self.config;
+        let domain = domain.filter(|d| d.size() > 1);
+        let gather = |mine: Vec<f64>| match domain {
+            Some(d) => d.allgather_vec(mine),
+            None => mine,
+        };
         // --- 1. LFD inner loop under the laser (device side) ---
         let t0_au = units::fs_to_au(self.time_fs);
         let drive = self.drive;
         let pol = self.polarization_axis;
+        let field = move |t: f64| pol * drive.field(t);
         let psi_before = self.shadow.download_wavefunctions_unmetered();
-        let (_, inner) =
-            self.shadow
-                .run_md_step(move |t| pol * drive.field(t), t0_au, cfg.ehrenfest);
+        let inner = match domain {
+            Some(d) if !cfg.ehrenfest.self_consistent => {
+                self.shadow
+                    .run_md_step_sharded(d, field, t0_au, cfg.ehrenfest)
+            }
+            _ => self.shadow.run_md_step(field, t0_au, cfg.ehrenfest).1,
+        };
         let psi_after = self.shadow.download_wavefunctions_unmetered();
+        let norb = psi_after.norb;
+        let cols = domain.map_or(0..norb, |d| partition(norb, d.size(), d.rank()));
         // --- 2. excitation measurement (fold of the per-state kernel) ---
-        let exc_terms: Vec<f64> = (0..psi_after.norb)
-            .map(|s| {
-                excitation_state_term(
-                    &self.psi0,
-                    &self.occupied0,
-                    &self.shadow.occupations,
-                    &psi_after,
-                    s,
-                )
-            })
-            .collect();
+        let exc_terms = gather(
+            cols.clone()
+                .map(|s| {
+                    excitation_state_term(
+                        &self.psi0,
+                        &self.occupied0,
+                        &self.shadow.occupations,
+                        &psi_after,
+                        s,
+                    )
+                })
+                .collect(),
+        );
         let n_exc = fold_excitation(&exc_terms, &self.occupied0, &self.shadow.occupations);
-        // --- 3. surface hopping on the occupations ---
+        // --- 3. surface hopping on the occupations (Û_SH of Eq. (2)): one
+        //        explicit-Euler master-equation step ---
         let dt_md_au = units::fs_to_au(cfg.dt_md_fs);
         let nac = NacMatrix::from_overlaps(
             &psi_before.psi,
@@ -463,14 +501,14 @@ impl MeshDriver {
             psi_after.grid.dv(),
             dt_md_au,
         );
-        let eps = band_energies(&psi_after.grid, &self.last_vloc, &psi_after);
-        let f = hop_occupations(
-            &self.hopping,
-            &self.shadow.occupations,
-            &eps,
-            &nac,
-            dt_md_au,
-        );
+        let eps = gather(band_energy_columns(
+            &psi_after.grid,
+            &self.last_vloc,
+            &psi_after,
+            cols,
+        ));
+        let mut f = self.shadow.occupations.as_slice().to_vec();
+        self.hopping.step(&mut f, &eps, &nac, dt_md_au);
         self.shadow.set_occupations(&f);
         self.last_eps = eps;
         // --- 4. QXMD with excitation-reshaped forces ---
@@ -491,7 +529,7 @@ impl MeshDriver {
             &self.last_vloc,
         );
         self.time_fs += cfg.dt_md_fs;
-        make_record(
+        let record = make_record(
             self.time_fs,
             n_exc,
             inner.absorbed_energy,
@@ -499,7 +537,8 @@ impl MeshDriver {
             &self.atoms,
             f,
             pe,
-        )
+        );
+        (record, inner)
     }
 
     /// Run `n` MD steps, returning the trajectory of records.
@@ -509,11 +548,9 @@ impl MeshDriver {
 }
 
 // ----------------------------------------------------------------------
-// Per-domain MESH step kernels — shared by the serial [`MeshDriver`] and
-// the distributed `crate::dist_mesh::DistributedMeshDriver`, exactly as
-// `run_scf_loop`/`descend_columns` are shared by the SCF drivers. Each
-// kernel either reads/writes a single orbital column (shardable by band
-// range, bit-identically) or runs redundantly on replicated inputs.
+// The stages `MeshDriver::step_in` sequences. Each either reads/writes a
+// single orbital column (shardable by band range, bit-identically) or
+// runs redundantly on replicated inputs.
 // ----------------------------------------------------------------------
 
 /// Run the ground-state pre-descent: relax the initial orbitals into
@@ -523,7 +560,7 @@ impl MeshDriver {
 /// hash over the *inputs* (initial panel, not the converged one), which
 /// is what lets a cache or checkpoint answer "is this the descent I
 /// would run?" without running it.
-pub(crate) fn compute_ground_state(
+fn compute_ground_state(
     config: &MeshConfig,
     mut wf: WaveFunctions,
     occupations: &Occupations,
@@ -563,7 +600,7 @@ pub(crate) fn compute_ground_state(
 
 /// Ionic potential of the tracked sites displaced by their cells'
 /// current Ti off-centering (Å → bohr).
-pub(crate) fn assemble_vloc(
+fn assemble_vloc(
     grid: &Grid3,
     tracked: &[(usize, AtomSite)],
     ferro: &FerroModel,
@@ -587,7 +624,7 @@ pub(crate) fn assemble_vloc(
 /// `f_s (1 − Σ_{s' occupied} |⟨ψ_{s'}(0)|ψ_s(t)⟩|²)` for an initially
 /// occupied state `s`, `0` otherwise. Reads only column `s` of the
 /// current panel, so the band tier shards this kernel over ranks.
-pub(crate) fn excitation_state_term(
+fn excitation_state_term(
     psi0: &WaveFunctions,
     occupied0: &[bool],
     occ: &Occupations,
@@ -616,7 +653,7 @@ pub(crate) fn excitation_state_term(
 /// measure invariant under mixing within the occupied manifold;
 /// promotion into the panel's virtual states and leakage beyond the
 /// panel both count.
-pub(crate) fn fold_excitation(terms: &[f64], occupied0: &[bool], occ: &Occupations) -> f64 {
+fn fold_excitation(terms: &[f64], occupied0: &[bool], occ: &Occupations) -> f64 {
     let mut n = 0.0;
     for (s, &term) in terms.iter().enumerate() {
         if !occupied0[s] || occ.f(s) == 0.0 {
@@ -627,30 +664,15 @@ pub(crate) fn fold_excitation(terms: &[f64], occupied0: &[bool], occ: &Occupatio
     n
 }
 
-/// Surface hopping on the occupations (the `Û_SH` of Eq. (2)): one
-/// explicit-Euler master-equation step against the current occupations.
-/// Runs redundantly on replicated inputs in the distributed driver.
-pub(crate) fn hop_occupations(
-    hopping: &SurfaceHopping,
-    occ: &Occupations,
-    eps: &[f64],
-    nac: &NacMatrix,
-    dt_md_au: f64,
-) -> Vec<f64> {
-    let mut f: Vec<f64> = occ.as_slice().to_vec();
-    hopping.step(&mut f, eps, nac, dt_md_au);
-    f
-}
-
 /// QXMD stage: the excitation fraction reshapes the ferroelectric energy
 /// landscape (XS forces) and velocity Verlet advances the atoms. Returns
-/// the potential energy. Runs redundantly in the distributed driver.
+/// the potential energy. Runs redundantly on every rank of a band group.
 ///
 /// With `nn: Some(term)` the network term's forces are accumulated on
 /// top of the ferroelectric model in every force evaluation of the step;
 /// with `None` the stage is the exact pre-existing floating-point
 /// program (pinned by the serial/distributed bit-identity tests).
-pub(crate) fn advance_atoms(
+fn advance_atoms(
     cfg: &MeshConfig,
     ferro: &mut FerroModel,
     atoms: &mut AtomsSystem,
@@ -688,9 +710,9 @@ impl ForceField for FerroPlusNetwork<'_> {
 }
 
 /// Shadow handshake: ship the ionic-motion-induced Δv_loc back to the
-/// device and return the new v_loc. Runs redundantly in the distributed
-/// driver (every rank's device replica receives the same increment).
-pub(crate) fn shadow_handshake(
+/// device and return the new v_loc. Runs redundantly on every rank of a
+/// band group (each device replica receives the same increment).
+fn shadow_handshake(
     shadow: &mut ShadowDomain,
     grid: &Grid3,
     tracked: &[(usize, AtomSite)],
@@ -715,13 +737,12 @@ fn charge_of_displacements(ferro: &FerroModel, u: Vec<Vec3>) -> f64 {
 
 /// Topological charge of the QM patch (mean over z-layers of the polar
 /// texture the ferro model binds to).
-pub(crate) fn patch_topological_charge(ferro: &FerroModel, atoms: &AtomsSystem) -> f64 {
+fn patch_topological_charge(ferro: &FerroModel, atoms: &AtomsSystem) -> f64 {
     charge_of_displacements(ferro, ferro.displacement_field(atoms))
 }
 
-/// Assemble the per-step record from the post-step state. Runs
-/// redundantly in the distributed driver.
-pub(crate) fn make_record(
+/// Assemble the per-step record from the post-step state.
+fn make_record(
     time_fs: f64,
     n_exc: f64,
     absorbed_energy: f64,
@@ -753,8 +774,7 @@ mod tests {
 
     /// The canonical MESH fixture (8³ grid, 8-state panel, 3×3×3 patch at
     /// the coupled minimum, resonant pulse) — shared with the `mesh_dist`
-    /// integration suite, the `mesh_scaling` bench, and the
-    /// `distributed_mesh` example.
+    /// integration suite and the `distributed_mesh` example.
     fn build_driver(e0: f64) -> MeshDriver {
         crate::fixture::small_mesh_driver(e0)
     }

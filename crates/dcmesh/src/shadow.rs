@@ -21,14 +21,18 @@
 //! inequality: per MD step, bytes moved ≪ wave-function bytes, and
 //! wave-function bytes move exactly once (at initialization).
 
-use crate::ehrenfest::{run_inner_loop, EhrenfestConfig, EhrenfestResult};
+use crate::ehrenfest::{
+    fold_inner_loop, propagate_columns, run_inner_loop, EhrenfestConfig, EhrenfestResult,
+};
 use mlmd_lfd::occupation::Occupations;
 use mlmd_lfd::propagator::QdStep;
 use mlmd_lfd::wavefunction::WaveFunctions;
 use mlmd_numerics::complex::c64;
 use mlmd_numerics::vec3::Vec3;
 use mlmd_parallel::buffer::DeviceBuffer;
+use mlmd_parallel::comm::Comm;
 use mlmd_parallel::device::TransferLedger;
+use mlmd_parallel::hier::partition;
 use std::sync::Arc;
 
 /// Per-domain shadow-coupled LFD state.
@@ -127,15 +131,10 @@ impl ShadowDomain {
             .copy_from_slice(wf.psi.as_slice());
         // The report payload crosses the link: Δf (Norb) + n_exc + J (4).
         self.record_report_payload();
-        let j_mean = if result.current_trace.is_empty() {
-            0.0
-        } else {
-            result.current_trace.iter().sum::<f64>() / result.current_trace.len() as f64
-        };
         let report = ShadowReport {
             delta_f: self.occupations.delta_f(),
             n_exc: self.occupations.n_exc(),
-            current: Vec3::new(j_mean, 0.0, 0.0),
+            current: Vec3::new(result.mean_current(), 0.0, 0.0),
             absorbed_energy: result.absorbed_energy,
         };
         (report, result)
@@ -169,31 +168,65 @@ impl ShadowDomain {
         wf
     }
 
-    /// Device-side overwrite of the wave functions — the write half of
-    /// `use_device_ptr`, used by the distributed MESH driver to install
-    /// the allgathered panel after a band-sharded inner loop (device-side
-    /// compute, no link traffic).
-    pub fn upload_wavefunctions_unmetered(&mut self, wf: &WaveFunctions) {
-        assert_eq!(wf.grid, self.wf_shape.grid, "panel grid mismatch");
-        assert_eq!(wf.norb, self.wf_shape.norb, "panel width mismatch");
-        self.device_psi
-            .device_slice_mut()
-            .copy_from_slice(wf.psi.as_slice());
-    }
-
-    /// Device-side view of the frozen potential the inner loop actually
-    /// propagates under (the incrementally-updated `device_v`, which is
-    /// deliberately *not* bit-identical to a freshly assembled v_loc —
-    /// it accumulates the pushed Δv's exactly as the serial loop does).
-    pub fn device_potential_unmetered(&self) -> Vec<f64> {
-        self.device_v.device_slice().to_vec()
+    /// [`Self::run_md_step`] band-sharded over the ranks of `domain`, each
+    /// holding a replica of this shadow domain: propagate this rank's
+    /// block of orbital columns under the frozen device potential (the
+    /// incrementally-updated `device_v`, not a freshly assembled v_loc),
+    /// allgather the sub-panels and per-orbital current terms, install
+    /// the reassembled panel device-side (no link traffic), and fold the
+    /// terms into the monolithic loop's result, bit for bit. Requires
+    /// `!cfg.self_consistent`: the Hartree update couples the columns.
+    pub(crate) fn run_md_step_sharded(
+        &mut self,
+        domain: &Comm,
+        field: impl Fn(f64) -> Vec3,
+        t0: f64,
+        cfg: EhrenfestConfig,
+    ) -> EhrenfestResult {
+        let grid = self.wf_shape.grid;
+        let norb = self.wf_shape.norb;
+        let ngrid = grid.len();
+        let cols = partition(norb, domain.size(), domain.rank());
+        let mut sub = WaveFunctions::zeros(grid, cols.len());
+        sub.psi
+            .as_mut_slice()
+            .copy_from_slice(&self.device_psi.device_slice()[cols.start * ngrid..cols.end * ngrid]);
+        let my_terms = propagate_columns(
+            &self.qd,
+            &mut sub,
+            &self.occupations,
+            cols.start,
+            self.device_v.device_slice(),
+            self.a,
+            &field,
+            t0,
+            cfg,
+        );
+        // Sub-panels are contiguous column blocks in domain-rank order, so
+        // the concatenation *is* the column-major panel; same for the
+        // owned-column-major current terms.
+        let panel = domain.allgather_vec(sub.psi.as_slice().to_vec());
+        let all_terms = domain.allgather_vec(my_terms);
+        self.device_psi.device_slice_mut().copy_from_slice(&panel);
+        let result = fold_inner_loop(
+            &all_terms,
+            norb,
+            &self.occupations,
+            &grid,
+            self.a,
+            &field,
+            t0,
+            cfg,
+        );
+        self.a = result.a_final;
+        // The same small report crosses the link as in `run_md_step`.
+        self.record_report_payload();
+        result
     }
 
     /// Ledger-account the per-MD-step D2H report payload
-    /// (`Norb + 4` doubles) without running the inner loop — the
-    /// distributed driver moves the same small report up the link after
-    /// its sharded propagation.
-    pub fn record_report_payload(&self) {
+    /// (`Norb + 4` doubles: Δf + n_exc + J).
+    fn record_report_payload(&self) {
         let payload_len = self.occupations.len() + 4;
         self.ledger
             .record_d2h((payload_len * std::mem::size_of::<f64>()) as u64);

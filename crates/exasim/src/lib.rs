@@ -40,7 +40,7 @@
 //! * [`planner`] inverts the calibrated model: given a job's workload
 //!   shape, [`planner::Planner::plan`] enumerates feasible
 //!   (ranks-per-domain, batch width, sampling stride) choices, predicts
-//!   wall-clock and queue cost, and returns a [`planner::RunPlan`] plus
+//!   wall-clock and queue cost, and returns a [`planner::Placement`] plus
 //!   a [`planner::PlanVerdict`] — what `mlmd-service` consults at
 //!   admission.
 
@@ -55,4 +55,4 @@ pub mod sota;
 
 pub use calibrate::{calibrate, Calibration, CalibrationConfig};
 pub use machine::Machine;
-pub use planner::{PlanJob, PlanLimits, PlanVerdict, Planner, RejectReason, RunPlan};
+pub use planner::{Placement, PlanJob, PlanLimits, PlanVerdict, Planner, RejectReason};

@@ -5,15 +5,16 @@
 //! shape ([`PlanJob`]) and a measured [`Calibration`], it enumerates the
 //! feasible execution choices (ranks-per-domain rung, batch width,
 //! sampling stride), predicts wall-clock and queue cost for each, and
-//! returns the cheapest [`RunPlan`] plus a [`PlanVerdict`] against the
+//! returns the cheapest [`Placement`] plus a [`PlanVerdict`] against the
 //! admission limits. The service scheduler calls this before admitting a
 //! job: the verdict gates admission, the predicted cost annotates the
 //! job and drives band placement.
 //!
 //! Every enumerated choice is an execution form the oracle suites
-//! already pin bit-identical (serial runs, in-process `RunPlan` batches,
-//! `World` runs at the 1/2/4 ranks-per-domain ladder), so planning picks
-//! *how fast* a job runs, never *what* it computes.
+//! already pin bit-identical (serial runs, in-process
+//! `mlmd_core::engine::RunPlan` batches, `World` runs at the 1/2/4
+//! ranks-per-domain ladder), so planning picks *how fast* a job runs,
+//! never *what* it computes.
 
 use crate::calibrate::{Calibration, RPD_LADDER};
 use crate::machine::Machine;
@@ -56,7 +57,7 @@ pub enum PlanJob {
 
 /// One chosen execution configuration with its predictions.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RunPlan {
+pub struct Placement {
     /// `None`: in-process batch on the work-stealing pool. `Some(r)`:
     /// a simulated-MPI `World` with `r` ranks per domain.
     pub ranks_per_domain: Option<usize>,
@@ -185,8 +186,8 @@ impl Planner {
     /// and return the cheapest plan plus its admission verdict. The
     /// serial (width-1, in-process) form is always among the candidates,
     /// so the chosen plan never predicts worse than the serial baseline.
-    pub fn plan(&self, job: &PlanJob) -> (RunPlan, PlanVerdict) {
-        let mut best: Option<RunPlan> = None;
+    pub fn plan(&self, job: &PlanJob) -> (Placement, PlanVerdict) {
+        let mut best: Option<Placement> = None;
         for cand in self.candidates(job) {
             let better = match &best {
                 None => true,
@@ -208,7 +209,7 @@ impl Planner {
         self.in_process_candidate(job, 1).predicted_secs
     }
 
-    fn verdict_for(&self, plan: &RunPlan) -> PlanVerdict {
+    fn verdict_for(&self, plan: &Placement) -> PlanVerdict {
         if plan.predicted_secs > self.limits.max_wall_secs {
             return PlanVerdict::Reject {
                 reason: RejectReason::WallClock,
@@ -228,7 +229,7 @@ impl Planner {
         }
     }
 
-    fn candidates(&self, job: &PlanJob) -> Vec<RunPlan> {
+    fn candidates(&self, job: &PlanJob) -> Vec<Placement> {
         match *job {
             PlanJob::MeshBatch { runs, .. } => {
                 let mut out = Vec::new();
@@ -249,7 +250,7 @@ impl Planner {
             }
             PlanJob::Md { steps, atoms } => {
                 let secs = steps as f64 * atoms as f64 * self.calibration.md_atom_step;
-                vec![RunPlan {
+                vec![Placement {
                     ranks_per_domain: None,
                     batch_width: 1,
                     sample_stride: 1,
@@ -259,7 +260,7 @@ impl Planner {
             }
             PlanJob::Fdtd { steps, cells } => {
                 let secs = steps as f64 * cells as f64 * self.calibration.fdtd_cell_step;
-                vec![RunPlan {
+                vec![Placement {
                     ranks_per_domain: None,
                     batch_width: 1,
                     sample_stride: 1,
@@ -272,7 +273,7 @@ impl Planner {
                 let candidate = |width: usize| {
                     let parallel = width as f64;
                     let secs = runs as f64 * per_run / parallel;
-                    RunPlan {
+                    Placement {
                         ranks_per_domain: None,
                         batch_width: width,
                         sample_stride: 1,
@@ -324,7 +325,7 @@ impl Planner {
         }
     }
 
-    fn in_process_candidate(&self, job: &PlanJob, width: usize) -> RunPlan {
+    fn in_process_candidate(&self, job: &PlanJob, width: usize) -> Placement {
         let (runs, steps, ngrid, norb, n_qd, warm_shared) = Self::mesh_shape(job);
         let stride = match *job {
             PlanJob::MeshBatch { stride, .. } => stride,
@@ -335,7 +336,7 @@ impl Planner {
         let parallel = width.min(self.pool_width).min(runs.max(1)).max(1) as f64;
         let secs = self.mesh_construction(runs, warm_shared)
             + runs as f64 * steps as f64 * step / parallel;
-        RunPlan {
+        Placement {
             ranks_per_domain: None,
             batch_width: width,
             sample_stride: self.fit_stride(runs, steps, stride),
@@ -344,7 +345,7 @@ impl Planner {
         }
     }
 
-    fn world_candidate(&self, job: &PlanJob, rpd: usize) -> Option<RunPlan> {
+    fn world_candidate(&self, job: &PlanJob, rpd: usize) -> Option<Placement> {
         let (runs, steps, ngrid, norb, n_qd, warm_shared) = Self::mesh_shape(job);
         let stride = match *job {
             PlanJob::MeshBatch { stride, .. } => stride,
@@ -370,7 +371,7 @@ impl Planner {
             + cal.dist_fixed_for(rpd)?
             + runs_f * steps_f * step / parallel;
         let ranks = (runs * rpd) as f64;
-        Some(RunPlan {
+        Some(Placement {
             ranks_per_domain: Some(rpd),
             batch_width: runs.max(1),
             sample_stride: self.fit_stride(runs, steps, stride),

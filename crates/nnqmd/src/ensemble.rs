@@ -13,7 +13,8 @@
 //! `compute` + [`VelocityVerlet::half_kick`] is the same floating-point
 //! program as [`VelocityVerlet::step`], each domain's trajectory is
 //! bit-identical to running it alone in an
-//! [`NnMdLoop`](crate::md::NnMdLoop) — pinned in the tests below. The
+//! [`MdStage`](mlmd_qxmd::md_stage::MdStage) over an
+//! [`NnForceField`](crate::md::NnForceField) — pinned in the tests below. The
 //! ensemble is the single-threaded counterpart of the
 //! [`ForceBatch`](crate::batch::ForceBatch) rendezvous: same batching
 //! semantics, no blocking, so it is safe under width-1 thread pools.
@@ -153,9 +154,10 @@ impl NnMdEnsemble {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::md::NnMdLoop;
+    use crate::md::NnForceField;
     use crate::model::ModelConfig;
     use mlmd_numerics::rng::Xoshiro256;
+    use mlmd_qxmd::md_stage::MdStage;
     use mlmd_qxmd::perovskite::PerovskiteLattice;
 
     fn model() -> AllegroLite {
@@ -180,16 +182,20 @@ mod tests {
             .collect()
     }
 
+    /// The width-1 loop the ensemble is pinned against: one domain alone
+    /// under the same network and blocking, NVE.
+    fn solo_loop(sys: &AtomsSystem, dt: f64, n_batches: usize) -> MdStage<NnForceField> {
+        let force = NnForceField::with_batches(model(), n_batches);
+        MdStage::new(sys.clone(), force, dt, None, Xoshiro256::new(0))
+    }
+
     #[test]
     fn ensemble_matches_per_domain_loops_bitwise() {
         // The load-bearing pin: batching force requests across domains
         // must not change a single bit of any domain's trajectory.
         let systems = domains(3);
         let dt = 0.1;
-        let mut loops: Vec<NnMdLoop> = systems
-            .iter()
-            .map(|sys| NnMdLoop::new(sys.clone(), model(), dt, 2))
-            .collect();
+        let mut loops: Vec<_> = systems.iter().map(|sys| solo_loop(sys, dt, 2)).collect();
         let mut ensemble = NnMdEnsemble::new(systems, model(), dt, 2);
         for _ in 0..6 {
             let records = ensemble.advance();
@@ -201,7 +207,10 @@ mod tests {
                     rec.potential_energy.to_bits(),
                     "potential energy must match bit-for-bit"
                 );
-                assert_eq!(solo.kinetic_energy.to_bits(), rec.kinetic_energy.to_bits());
+                assert_eq!(
+                    md.system().kinetic_energy().to_bits(),
+                    rec.kinetic_energy.to_bits()
+                );
             }
         }
         assert_eq!(ensemble.time_fs(), 6.0 * dt);
@@ -248,7 +257,7 @@ mod tests {
     #[test]
     fn single_domain_ensemble_reduces_to_the_loop() {
         let systems = domains(1);
-        let mut md = NnMdLoop::new(systems[0].clone(), model(), 0.2, 3);
+        let mut md = solo_loop(&systems[0], 0.2, 3);
         let mut ensemble = NnMdEnsemble::new(systems, model(), 0.2, 3);
         assert_eq!(ensemble.n_domains(), 1);
         for _ in 0..4 {

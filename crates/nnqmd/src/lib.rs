@@ -34,8 +34,9 @@
 //!   standalone evaluation.
 //! * **Fidelity scaling** ([`failure`]): the time-to-failure harness
 //!   reproducing `t_failure ∝ N^{−0.14}` (Legato) vs `N^{−0.29}` (plain).
-//! * **MD driver** ([`md`]): NNQMD velocity-Verlet dynamics, serial or
-//!   over simulated-MPI ranks.
+//! * **MD force fields** ([`md`]): the network as a `ForceField` for
+//!   `mlmd_qxmd`'s `MdStage` (the width-1 MD loop), serial or over
+//!   simulated-MPI ranks.
 //! * **Training-data generation** ([`gen`]): synthetic "NAQMD" reference
 //!   frames labeled by the QXMD effective model (see DESIGN.md).
 
@@ -58,7 +59,7 @@ pub use ensemble::NnMdEnsemble;
 pub use infer::{
     block_evaluate, block_evaluate_many, BlockEvalResult, ForceRequest, InferPrecision,
 };
-pub use md::{NnForceField, NnMdLoop, NnMdRecord};
+pub use md::{NnForceField, NnMdRecord};
 pub use mix::XsGsModel;
 pub use model::{AllegroLite, ModelConfig, QuantizedModel};
 pub use train::{Adam, Dataset, Frame, SamConfig, Trainer};

@@ -92,7 +92,8 @@ impl ForceField for XsGsForceField {
     }
 }
 
-/// Per-step record of an [`NnMdLoop`] run.
+/// Per-step, per-domain record of an NNQMD MD run
+/// ([`crate::ensemble::NnMdEnsemble`]).
 #[derive(Clone, Copy, Debug)]
 pub struct NnMdRecord {
     /// Simulation time after the step (fs).
@@ -101,56 +102,6 @@ pub struct NnMdRecord {
     pub potential_energy: f64,
     /// Kinetic energy after the step (eV).
     pub kinetic_energy: f64,
-}
-
-/// The NNQMD MD loop as a self-contained stepper: an owned system driven
-/// by the network force field through blocked inference
-/// ([`crate::infer`]), one velocity-Verlet step per call. This is the
-/// driver shape the `mlmd-core` engine layer runs (and batches across
-/// replicas).
-///
-/// Internally a thin NVE wrapper over [`mlmd_qxmd::md_stage::MdStage`] —
-/// the one velocity-Verlet driver in the workspace — adding the
-/// kinetic-energy readout the NNQMD time-to-failure analyses consume.
-pub struct NnMdLoop {
-    inner: mlmd_qxmd::md_stage::MdStage<NnForceField>,
-}
-
-impl NnMdLoop {
-    /// Assemble the loop and compute the initial forces. `n_batches` is
-    /// the neighbor-list blocking factor of the inference loop.
-    pub fn new(system: AtomsSystem, model: AllegroLite, dt_fs: f64, n_batches: usize) -> Self {
-        let force = NnForceField::with_batches(model, n_batches);
-        // NVE: no thermostat, so the RNG stream is never consumed.
-        let rng = mlmd_numerics::rng::Xoshiro256::new(0);
-        Self {
-            inner: mlmd_qxmd::md_stage::MdStage::new(system, force, dt_fs, None, rng),
-        }
-    }
-
-    /// One velocity-Verlet step under the network forces.
-    pub fn advance(&mut self) -> NnMdRecord {
-        let r = self.inner.advance();
-        NnMdRecord {
-            time_fs: r.time_fs,
-            potential_energy: r.potential_energy,
-            kinetic_energy: self.inner.system().kinetic_energy(),
-        }
-    }
-
-    /// Simulation time (fs) after the steps taken so far.
-    pub fn time_fs(&self) -> f64 {
-        self.inner.time_fs()
-    }
-
-    pub fn system(&self) -> &AtomsSystem {
-        self.inner.system()
-    }
-
-    /// Dissolve the loop, returning the evolved system and the force field.
-    pub fn into_parts(self) -> (AtomsSystem, NnForceField) {
-        self.inner.into_parts()
-    }
 }
 
 /// One parallel force evaluation over a communicator: rank `r` computes
@@ -206,39 +157,6 @@ mod tests {
             },
             41,
         )
-    }
-
-    #[test]
-    fn nn_md_loop_matches_hand_rolled_loop() {
-        // The stepper wrapper must reproduce the bare integrator loop
-        // bit-for-bit (same model, same blocking).
-        let mut sys = small_system();
-        let mut rng = Xoshiro256::new(3);
-        sys.thermalize(40.0, &mut rng);
-        let ff = NnForceField::new(model());
-        let vv = VelocityVerlet::new(0.1);
-        let mut reference = sys.clone();
-        ff.compute(&mut reference);
-        for _ in 0..10 {
-            vv.step(&mut reference, &ff);
-        }
-        let mut md = NnMdLoop::new(sys, model(), 0.1, ff.n_batches);
-        let mut last = None;
-        for _ in 0..10 {
-            last = Some(md.advance());
-        }
-        assert_eq!(md.time_fs(), 10.0 * 0.1);
-        assert!(last.unwrap().kinetic_energy.is_finite());
-        for (a, b) in md.system().positions.iter().zip(&reference.positions) {
-            assert_eq!(
-                a.x.to_bits(),
-                b.x.to_bits(),
-                "trajectory must match exactly"
-            );
-        }
-        let (sys, force) = md.into_parts();
-        assert_eq!(sys.len(), reference.len());
-        assert_eq!(force.n_batches, 2);
     }
 
     #[test]

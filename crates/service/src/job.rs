@@ -29,7 +29,7 @@
 
 use crate::progress::{EventSink, JobId, ProgressObserver};
 use mlmd_core::config::PipelineConfig;
-use mlmd_core::engine::{CancelToken, Engine, SampleStride, SupercellForce, TraceObserver};
+use mlmd_core::engine::{CancelToken, Engine, SampleStride, Stepper, TraceObserver};
 use mlmd_core::pipeline::{Pipeline, PumpProbeRun, MESH_STAGE_NGRID, MESH_STAGE_NORB};
 use mlmd_dcmesh::mesh::MeshStepRecord;
 use mlmd_dcmesh::WarmStartPolicy;
@@ -438,7 +438,6 @@ impl JobSpec {
         id: JobId,
         progress_stride: SampleStride,
     ) -> JobOutput {
-        let total = self.total_steps();
         match self {
             JobSpec::PumpProbeSweep { config, amplitudes } => {
                 let pipeline = Pipeline::new(*config);
@@ -467,51 +466,26 @@ impl JobSpec {
                     steps_done,
                 }
             }
-            JobSpec::MeshRun {
-                config,
-                e0,
-                n_steps,
-            } => {
-                let pipeline = Pipeline::new(*config);
-                let mut driver = pipeline.mesh_stage(*e0);
-                let mut obs = ProgressObserver::new(
-                    TraceObserver::every(),
-                    progress_stride,
-                    sink.clone(),
-                    id,
-                    0,
-                    total,
-                );
-                let outcome = Engine::run_cancellable(&mut driver, *n_steps, &mut obs, cancel);
-                JobOutput {
-                    result: JobResult::Mesh(obs.into_inner().trace),
-                    cancelled: outcome.cancelled,
-                    steps_done: outcome.steps_done,
-                }
-            }
+            JobSpec::MeshRun { config, e0, .. } => self.run_single(
+                Pipeline::new(*config).mesh_stage(*e0),
+                JobResult::Mesh,
+                cancel,
+                sink,
+                id,
+                progress_stride,
+            ),
             JobSpec::MdRun {
                 config,
                 excitation_fraction,
-                n_steps,
-            } => {
-                let pipeline = Pipeline::new(*config);
-                let mut stage: mlmd_qxmd::md_stage::MdStage<SupercellForce> =
-                    pipeline.supercell_md_stage(*excitation_fraction);
-                let mut obs = ProgressObserver::new(
-                    TraceObserver::every(),
-                    progress_stride,
-                    sink.clone(),
-                    id,
-                    0,
-                    total,
-                );
-                let outcome = Engine::run_cancellable(&mut stage, *n_steps, &mut obs, cancel);
-                JobOutput {
-                    result: JobResult::Md(obs.into_inner().trace),
-                    cancelled: outcome.cancelled,
-                    steps_done: outcome.steps_done,
-                }
-            }
+                ..
+            } => self.run_single(
+                Pipeline::new(*config).supercell_md_stage(*excitation_fraction),
+                JobResult::Md,
+                cancel,
+                sink,
+                id,
+                progress_stride,
+            ),
             JobSpec::FdtdPulse {
                 n_cells,
                 dz,
@@ -521,28 +495,19 @@ impl JobSpec {
                 t0,
                 sigma,
                 source_node,
-                n_steps,
-            } => {
-                let mut driver = PulsedYee::new(
+                ..
+            } => self.run_single(
+                PulsedYee::new(
                     Yee1d::new(*n_cells, *dz, *dt),
                     GaussianPulse::new(*e0, *omega, *t0, *sigma),
                     *source_node,
-                );
-                let mut obs = ProgressObserver::new(
-                    TraceObserver::every(),
-                    progress_stride,
-                    sink.clone(),
-                    id,
-                    0,
-                    total,
-                );
-                let outcome = Engine::run_cancellable(&mut driver, *n_steps, &mut obs, cancel);
-                JobOutput {
-                    result: JobResult::Fdtd(obs.into_inner().trace),
-                    cancelled: outcome.cancelled,
-                    steps_done: outcome.steps_done,
-                }
-            }
+                ),
+                JobResult::Fdtd,
+                cancel,
+                sink,
+                id,
+                progress_stride,
+            ),
             JobSpec::FloquetSweep { sweep } => {
                 // One engine pass per geometry: the progress observer
                 // wraps the spectral accumulator, so streaming events
@@ -563,6 +528,35 @@ impl JobSpec {
                     steps_done,
                 }
             }
+        }
+    }
+
+    /// The body of every single-run job: engine-drive `stepper` for this
+    /// job's [`Self::total_steps`] under a progress observer that keeps
+    /// the full trace, and wrap the (possibly cancelled-prefix) trace.
+    fn run_single<S: Stepper<Record: Clone>>(
+        &self,
+        mut stepper: S,
+        wrap: fn(Vec<S::Record>) -> JobResult,
+        cancel: &CancelToken,
+        sink: &EventSink,
+        id: JobId,
+        progress_stride: SampleStride,
+    ) -> JobOutput {
+        let n_steps = self.total_steps();
+        let mut obs = ProgressObserver::new(
+            TraceObserver::every(),
+            progress_stride,
+            sink.clone(),
+            id,
+            0,
+            n_steps,
+        );
+        let outcome = Engine::run_cancellable(&mut stepper, n_steps, &mut obs, cancel);
+        JobOutput {
+            result: wrap(obs.into_inner().trace),
+            cancelled: outcome.cancelled,
+            steps_done: outcome.steps_done,
         }
     }
 }

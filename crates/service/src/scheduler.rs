@@ -24,7 +24,7 @@
 //!   [`Planner`] — a job whose best execution choice still exceeds the
 //!   planner's limits is refused with [`SubmitError::PlanRejected`]
 //!   before it can occupy a queue slot; an admitted job carries its
-//!   [`RunPlan`] (see [`JobHandle::plan`]) and, when predicted longer
+//!   [`Placement`] (see [`JobHandle::plan`]) and, when predicted longer
 //!   than `batch_threshold_secs`, is demoted one priority band so batch
 //!   work cannot crowd interactive requests. Workers measure actual
 //!   wall-clock, and [`MetricsSnapshot`] reports the running
@@ -54,7 +54,7 @@ use crate::job::{JobOutput, JobResult, JobSpec, Priority};
 use crate::progress::{EventSink, JobEvent, JobId};
 use crossbeam::channel::{Receiver, Sender};
 use mlmd_core::engine::{CancelToken, SampleStride};
-use mlmd_exasim::planner::{PlanVerdict, Planner, RunPlan};
+use mlmd_exasim::planner::{Placement, PlanVerdict, Planner};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -154,11 +154,11 @@ struct JobCore {
     /// The planner's chosen execution plan, when admission planning is
     /// on. Dedup followers carry the same plan as their primary (same
     /// spec, same plan).
-    plan: Option<RunPlan>,
+    plan: Option<Placement>,
 }
 
 impl JobCore {
-    fn new(id: JobId, sink: EventSink, plan: Option<RunPlan>) -> Self {
+    fn new(id: JobId, sink: EventSink, plan: Option<Placement>) -> Self {
         Self {
             id,
             cancel: CancelToken::new(),
@@ -394,7 +394,7 @@ impl JobHandle {
     /// The planner's chosen execution plan for this job, when the
     /// scheduler was configured with one ([`ServiceConfig::planner`]).
     /// Dedup followers report the same plan as their primary.
-    pub fn plan(&self) -> Option<RunPlan> {
+    pub fn plan(&self) -> Option<Placement> {
         self.core.plan
     }
 
@@ -1054,7 +1054,12 @@ mod tests {
     fn cancelling_queued_job_never_executes() {
         let s = one_worker();
         let blocker = s.submit(slow_blocker(0.96)).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
+        // The single worker must be inside the blocker before the victim
+        // is queued, or cancelling the blocker below leaves `executed` 0.
+        while !matches!(
+            blocker.events().recv().expect("blocker resolved unstarted"),
+            JobEvent::Started { .. }
+        ) {}
         let victim = s.submit(fdtd(50, 0.61)).unwrap();
         victim.cancel();
         let out = victim.wait();

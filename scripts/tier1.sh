@@ -20,15 +20,6 @@ cargo test -q
 echo "==> cargo bench -p mlmd-bench --bench dc_scaling -- --test  (smoke)"
 cargo bench -p mlmd-bench --bench dc_scaling -- --test
 
-echo "==> cargo bench -p mlmd-bench --bench pump_probe -- --test  (smoke)"
-cargo bench -p mlmd-bench --bench pump_probe -- --test
-
-echo "==> cargo bench -p mlmd-bench --bench mesh_scaling -- --test  (smoke)"
-cargo bench -p mlmd-bench --bench mesh_scaling -- --test
-
-echo "==> cargo bench -p mlmd-bench --bench warm_start -- --test  (smoke)"
-cargo bench -p mlmd-bench --bench warm_start -- --test
-
 echo "==> cargo bench -p mlmd-bench --bench service_load -- --test  (smoke)"
 cargo bench -p mlmd-bench --bench service_load -- --test
 

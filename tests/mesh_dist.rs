@@ -14,13 +14,21 @@
 //! terms, and band energies are sharded column-locally; coupling steps
 //! run redundantly on replicated inputs; world-level collectives carry
 //! one non-zero contribution per domain.
+//!
+//! Serial and distributed drivers run one step body
+//! (`MeshDriver::step_in`), so the 1-rank case holds by construction; the
+//! 2- and 4-rank cases compare the sharded-and-gathered inner loop with
+//! the monolithic one, the `self_consistent` fixture covers the
+//! redundant-propagation branch, and the per-step collective counts of
+//! each case are pinned as exact integers.
 
 use mlmd::core::config::PipelineConfig;
 use mlmd::core::pipeline::Pipeline;
 use mlmd::dcmesh::dist_mesh::{run_distributed_mesh, DistributedMeshDriver};
+use mlmd::dcmesh::ehrenfest::EhrenfestConfig;
 use mlmd::dcmesh::fixture::{small_mesh_builder, small_mesh_driver};
-use mlmd::dcmesh::mesh::MeshStepRecord;
-use mlmd::parallel::comm::World;
+use mlmd::dcmesh::mesh::{MeshConfig, MeshDriverBuilder, MeshStepRecord};
+use mlmd::parallel::comm::{CollectiveOp, World};
 
 const STEPS: usize = 3;
 
@@ -119,6 +127,80 @@ fn distributed_mesh_trajectory_is_bit_identical_across_rank_counts() {
             );
         }
     }
+}
+
+/// The canonical fixture with the self-consistent Hartree update on: the
+/// inner loop couples the orbitals every QD step, so a band group
+/// propagates the full panel redundantly instead of sharding it.
+fn self_consistent_builder() -> MeshDriverBuilder {
+    small_mesh_builder(0.05).config(MeshConfig {
+        ehrenfest: EhrenfestConfig {
+            dt_qd: 0.05,
+            n_qd: 8,
+            self_consistent: true,
+        },
+        exc_per_cell_scale: 30.0,
+        ..Default::default()
+    })
+}
+
+#[test]
+fn self_consistent_fallback_is_bit_identical_at_two_ranks() {
+    let mut serial = self_consistent_builder().build();
+    let want = serial.run(STEPS);
+    let out = World::run(2, |world| {
+        let mut drv = DistributedMeshDriver::new(world, 1, |_| self_consistent_builder());
+        let trace = drv.run(STEPS);
+        (trace, drv.band_energies().to_vec())
+    });
+    for (rank, (trace, eps)) in out.iter().enumerate() {
+        assert_traces_equal(&want, trace, &format!("self-consistent, rank {rank}"));
+        let bits = |e: &[f64]| e.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(serial.band_energies()), bits(eps), "rank {rank} eps");
+    }
+}
+
+/// Collective calls one rank makes per MD step on a one-domain world of
+/// `ranks`, as `[AllgatherVec on the domain communicator, AllreduceSumVec
+/// on the world, anything else]`. Two run lengths are differenced so the
+/// construction broadcast cancels; the fabric counts one op per member
+/// rank per call.
+fn collectives_per_step(ranks: usize, builder: fn() -> MeshDriverBuilder) -> [u64; 3] {
+    let count = |steps: usize| {
+        let (_, rows) = World::run_probed(ranks, |world| {
+            DistributedMeshDriver::new(world, 1, |_| builder()).run(steps);
+        });
+        let mut calls = [0u64; 3];
+        for row in &rows {
+            let slot = match (row.comm, row.op) {
+                (0, CollectiveOp::AllreduceSumVec) => 1,
+                (comm, CollectiveOp::AllgatherVec) if comm != 0 => 0,
+                _ => 2,
+            };
+            calls[slot] += row.stats.ops;
+        }
+        calls
+    };
+    let (short, long) = (count(1), count(3));
+    let per = 2 * ranks as u64;
+    std::array::from_fn(|i| {
+        let extra = long[i] - short[i];
+        assert_eq!(extra % per, 0, "every rank makes every call");
+        extra / per
+    })
+}
+
+#[test]
+fn step_collective_counts_are_pinned_per_rank_count() {
+    // The one step body must not grow a collective in either case: four
+    // allgathers (sub-panels, current terms, excitation terms, band
+    // energies) when the inner loop is sharded, two when it runs
+    // redundantly, none on one rank; always one world-level E/J exchange.
+    let lit: fn() -> MeshDriverBuilder = || small_mesh_builder(0.05);
+    assert_eq!(collectives_per_step(1, lit), [0, 1, 0]);
+    assert_eq!(collectives_per_step(2, lit), [4, 1, 0]);
+    assert_eq!(collectives_per_step(4, lit), [4, 1, 0]);
+    assert_eq!(collectives_per_step(2, self_consistent_builder), [2, 1, 0]);
 }
 
 #[test]
