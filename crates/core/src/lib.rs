@@ -15,9 +15,8 @@
 //!   superlattice → DC-MESH femtosecond pulse → XS-NNQMD large-scale
 //!   dynamics → topological-switching verdict, rebuilt as engine runs
 //!   (the pump–probe pair executes as one [`engine::RunPlan`] batch).
-//! * [`probe`] — [`probe::CostProbe`], a wall-clock probe on the
-//!   `Observer` seam whose per-step report feeds `mlmd-exasim`'s
-//!   calibration harness.
+//! * [`probe`] — [`probe::time_secs`], the closure wall-clock
+//!   `mlmd-exasim`'s calibration harness fits its terms from.
 //! * [`config`] — run configuration.
 
 pub mod config;
@@ -29,4 +28,3 @@ pub mod probe;
 pub use config::PipelineConfig;
 pub use engine::{Engine, Observer, RunPlan, SampleStride, Stepper};
 pub use pipeline::{Pipeline, PipelineOutcome};
-pub use probe::{CostProbe, CostProbeReport};

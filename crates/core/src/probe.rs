@@ -1,189 +1,21 @@
-//! Per-phase wall-clock probes on the engine's [`Observer`] seam.
+//! Wall-clocking one closure.
 //!
-//! [`CostProbe`] wraps any observer and timestamps every step the engine
-//! reports, without perturbing what the inner observer sees. The resulting
-//! [`CostProbeReport`] (step count, total wall, per-step mean/min/max) is
-//! the driver-side measurement the `mlmd-exasim` calibration harness fits
-//! its per-step kernel terms from — the counterpart of the comm fabric's
-//! per-collective counters on the network side.
-//!
-//! Because the probe clocks the *interval between observes* (and from
-//! construction to the first observe), building the probe immediately
-//! before `Engine::run` makes the first sample a true first-step time;
-//! building it earlier folds setup cost into that sample. The calibration
-//! harness exploits both: a probe built around a run measures steps, and
-//! [`time_secs`] measures the construction phases the step loop excludes.
+//! [`time_secs`] is what the `mlmd-exasim` calibration harness fits its
+//! cost terms from: a driver construction, or a whole `Engine::run`
+//! divided by its step count.
 
-use crate::engine::{Observer, StepInfo, Stepper};
 use std::time::Instant;
 
 /// Wall-clock one closure; returns its value and the elapsed seconds.
-/// The calibration harness uses this for the phases that happen outside
-/// the engine's step loop (driver construction, warm-start loads).
 pub fn time_secs<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
 }
 
-/// An [`Observer`] wrapper that records the wall-clock duration of every
-/// step while forwarding each record to the inner observer unchanged.
-pub struct CostProbe<O> {
-    inner: O,
-    started: Instant,
-    last: Instant,
-    step_secs: Vec<f64>,
-}
-
-impl<O> CostProbe<O> {
-    /// Start the probe clock now, wrapping `inner`. The interval from this
-    /// call to the first observed step is charged to step 0.
-    pub fn new(inner: O) -> Self {
-        let now = Instant::now();
-        Self {
-            inner,
-            started: now,
-            last: now,
-            step_secs: Vec::new(),
-        }
-    }
-
-    /// The wrapped observer.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Unwrap, discarding the timing samples.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
-    /// Per-step wall durations observed so far, in step order.
-    pub fn step_secs(&self) -> &[f64] {
-        &self.step_secs
-    }
-
-    /// Summarize the samples collected so far under a phase label.
-    pub fn report(&self, label: &'static str) -> CostProbeReport {
-        let steps = self.step_secs.len();
-        let step_total: f64 = self.step_secs.iter().sum();
-        let (mut min, mut max) = (f64::INFINITY, 0.0f64);
-        for &s in &self.step_secs {
-            min = min.min(s);
-            max = max.max(s);
-        }
-        CostProbeReport {
-            label,
-            steps,
-            total_secs: (self.last - self.started).as_secs_f64(),
-            step_secs_total: step_total,
-            step_secs_mean: if steps == 0 {
-                0.0
-            } else {
-                step_total / steps as f64
-            },
-            step_secs_min: if steps == 0 { 0.0 } else { min },
-            step_secs_max: max,
-        }
-    }
-}
-
-impl<S: Stepper, O: Observer<S>> Observer<S> for CostProbe<O> {
-    fn observe(&mut self, info: StepInfo, stepper: &S, record: &S::Record) {
-        let now = Instant::now();
-        self.step_secs.push((now - self.last).as_secs_f64());
-        self.last = now;
-        self.inner.observe(info, stepper, record);
-    }
-}
-
-/// Wall-clock summary of one probed run phase.
-///
-/// `total_secs` spans probe construction to the last observed step;
-/// `step_secs_*` summarize the individual inter-observe intervals. With a
-/// sampling stride of 1 the two totals agree; with a coarser stride each
-/// sample covers `stride` steps and `total_secs` remains the honest
-/// whole-phase figure.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostProbeReport {
-    pub label: &'static str,
-    pub steps: usize,
-    pub total_secs: f64,
-    pub step_secs_total: f64,
-    pub step_secs_mean: f64,
-    pub step_secs_min: f64,
-    pub step_secs_max: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, NullObserver};
-
-    /// Minimal stepper: spins for a deterministic amount of work.
-    struct Spin(u64);
-
-    impl Stepper for Spin {
-        type Record = u64;
-        fn step(&mut self) -> u64 {
-            let mut acc = self.0;
-            for i in 0..20_000u64 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-            }
-            self.0 = acc;
-            acc
-        }
-        fn time_fs(&self) -> f64 {
-            0.0
-        }
-    }
-
-    #[test]
-    fn probe_counts_every_step_and_sums_to_total() {
-        let mut probe = CostProbe::new(NullObserver);
-        let mut spin = Spin(1);
-        Engine::run(&mut spin, 5, &mut probe);
-        let report = probe.report("spin");
-        assert_eq!(report.steps, 5);
-        assert_eq!(report.label, "spin");
-        assert!(report.step_secs_min >= 0.0);
-        assert!(report.step_secs_max >= report.step_secs_mean);
-        assert!(report.step_secs_mean >= report.step_secs_min);
-        // The samples partition [construction, last observe] exactly.
-        let sum: f64 = probe.step_secs().iter().sum();
-        assert!((sum - report.total_secs).abs() < 1e-9);
-    }
-
-    #[test]
-    fn probe_forwards_records_to_inner_observer() {
-        struct Sum(u64);
-        impl Observer<Spin> for Sum {
-            fn observe(&mut self, _: StepInfo, _: &Spin, record: &u64) {
-                self.0 = self.0.wrapping_add(*record);
-            }
-        }
-        let mut probe = CostProbe::new(Sum(0));
-        let mut spin_a = Spin(7);
-        Engine::run(&mut spin_a, 3, &mut probe);
-        let seen = probe.into_inner().0;
-
-        let mut spin_b = Spin(7);
-        let mut expect = 0u64;
-        for _ in 0..3 {
-            expect = expect.wrapping_add(spin_b.step());
-        }
-        assert_eq!(seen, expect, "probe must not perturb the inner observer");
-    }
-
-    #[test]
-    fn empty_probe_reports_zeros() {
-        let probe = CostProbe::new(NullObserver);
-        let report = probe.report("idle");
-        assert_eq!(report.steps, 0);
-        assert_eq!(report.step_secs_mean, 0.0);
-        assert_eq!(report.step_secs_min, 0.0);
-        assert_eq!(report.step_secs_max, 0.0);
-    }
 
     #[test]
     fn time_secs_returns_value_and_duration() {

@@ -456,14 +456,6 @@ impl From<CodecError> for CheckpointError {
             CodecError::Truncated { needed, remaining } => {
                 CheckpointError::Truncated { needed, remaining }
             }
-            // Codec-level framing errors carry no location payload; map
-            // them onto the matching checkpoint variants with a zeroed
-            // "found" word (the codec already rejected the frame).
-            CodecError::BadMagic => CheckpointError::BadMagic { found: 0 },
-            CodecError::BadDigest => CheckpointError::DigestMismatch {
-                found: 0,
-                expected: 0,
-            },
         }
     }
 }

@@ -268,18 +268,7 @@ impl DistributedDcScf {
     /// restricted potential. Collective over world.
     pub fn max_residual(&self) -> f64 {
         let mine = if self.hier.domain.rank() == 0 {
-            let eps = scf::band_energies(&self.dom.grid, &self.v_local, &self.wf);
-            let mut worst = 0.0f64;
-            for (s, &eps_s) in eps.iter().enumerate().take(self.wf.norb) {
-                let col = self.wf.psi.col(s);
-                let hpsi = scf::apply_h(&self.dom.grid, &self.v_local, col);
-                let mut r2 = 0.0;
-                for (h, c) in hpsi.iter().zip(col) {
-                    r2 += (*h - c.scale(eps_s)).norm_sqr();
-                }
-                worst = worst.max((r2 * self.dom.grid.dv()).sqrt());
-            }
-            worst
+            scf::domain_residual(&self.dom.grid, &self.v_local, &self.wf)
         } else {
             0.0
         };

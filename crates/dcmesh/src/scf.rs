@@ -92,6 +92,22 @@ pub fn band_energies(grid: &Grid3, vloc: &[f64], wf: &WaveFunctions) -> Vec<f64>
     band_energy_columns(grid, vloc, wf, 0..wf.norb)
 }
 
+/// Worst eigen-residual `|Hψ_s − ε_s ψ_s|` over one domain's panel.
+pub(crate) fn domain_residual(grid: &Grid3, vloc: &[f64], wf: &WaveFunctions) -> f64 {
+    let eps = band_energies(grid, vloc, wf);
+    let mut worst = 0.0f64;
+    for (s, &eps_s) in eps.iter().enumerate().take(wf.norb) {
+        let col = wf.psi.col(s);
+        let hpsi = apply_h(grid, vloc, col);
+        let mut r2 = 0.0;
+        for (h, c) in hpsi.iter().zip(col) {
+            r2 += (*h - c.scale(eps_s)).norm_sqr();
+        }
+        worst = worst.max((r2 * grid.dv()).sqrt());
+    }
+    worst
+}
+
 /// Subspace-Hamiltonian columns `H_ab = ⟨ψ_a|H|ψ_b⟩` for `b ∈ cols`,
 /// flattened column-major (`norb` entries per column, columns in `cols`
 /// order). Columns are independent, so the band tier of the DC-MESH
@@ -531,21 +547,11 @@ impl DcScf {
     /// diagnostic).
     pub fn max_residual(&self) -> f64 {
         let g = self.decomposition.spec.global;
-        let mut worst = 0.0f64;
-        for (dom, wf) in self.decomposition.domains.iter().zip(&self.orbitals) {
+        let domains = self.decomposition.domains.iter().zip(&self.orbitals);
+        domains.fold(0.0, |worst, (dom, wf)| {
             let v_local = dom.restrict(&g, &self.v_global);
-            let eps = band_energies(&dom.grid, &v_local, wf);
-            for (s, &eps_s) in eps.iter().enumerate().take(wf.norb) {
-                let col = wf.psi.col(s);
-                let hpsi = apply_h(&dom.grid, &v_local, col);
-                let mut r2 = 0.0;
-                for (h, c) in hpsi.iter().zip(col) {
-                    r2 += (*h - c.scale(eps_s)).norm_sqr();
-                }
-                worst = worst.max((r2 * dom.grid.dv()).sqrt());
-            }
-        }
-        worst
+            worst.max(domain_residual(&dom.grid, &v_local, wf))
+        })
     }
 }
 

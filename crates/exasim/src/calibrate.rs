@@ -8,33 +8,31 @@
 //!
 //! * α/β from [`mlmd_parallel::comm::World::run_probed`] counters over
 //!   `allreduce_sum_vec` probes at two payload sizes;
-//! * the serial MESH per-MD-step kernel time from a
-//!   [`mlmd_core::probe::CostProbe`] over the canonical
-//!   [`mlmd_dcmesh::fixture::small_mesh_builder`] driver (the same
-//!   8³-grid / 8-state problem `Pipeline::mesh_stage_builder` builds, so
-//!   the fit transfers to service mesh jobs);
+//! * the MESH per-MD-step time from a timed `Engine::run` of the
+//!   canonical [`mlmd_dcmesh::fixture::small_mesh_builder`] driver (the
+//!   same 8³-grid / 8-state problem `Pipeline::mesh_stage_builder`
+//!   builds, so the fit transfers to service mesh jobs);
 //! * cold vs warm-start construction from timing the ground-state
 //!   descent against a [`GroundStateCache`] hit;
-//! * the distributed per-step and fixed-envelope terms per
-//!   ranks-per-domain rung from two `run_distributed_mesh` runs of
-//!   different lengths (the difference quotient cancels construction);
 //! * per-atom MD and per-cell FDTD step costs from short engine runs.
 //!
-//! A `Calibration` is plain `Copy` data with a deterministic, versioned
-//! byte codec ([`Calibration::encode`]/[`Calibration::decode`]) so a fit
-//! can be persisted and round-trips bit-for-bit.
+//! Every term but α/β is a term of the in-process form the planner
+//! prices (see [`crate::planner`]). Known residue: `alpha`/`beta` are
+//! read only by [`Machine::from_calibration`](crate::Machine::from_calibration),
+//! whose result nothing reads; they stay because the frozen `benchmark/`
+//! crate builds a planner through it.
+//!
+//! A `Calibration` is plain `Copy` data.
 
 use mlmd_core::config::PipelineConfig;
-use mlmd_core::engine::{Engine, NullObserver};
+use mlmd_core::engine::{Engine, NullObserver, Stepper};
 use mlmd_core::pipeline::Pipeline;
-use mlmd_core::probe::{time_secs, CostProbe};
+use mlmd_core::probe::time_secs;
 use mlmd_dcmesh::checkpoint::{GroundStateCache, WarmStart};
-use mlmd_dcmesh::dist_mesh::run_distributed_mesh;
 use mlmd_dcmesh::fixture::small_mesh_builder;
 use mlmd_maxwell::driver::PulsedYee;
 use mlmd_maxwell::source::GaussianPulse;
 use mlmd_maxwell::yee1d::Yee1d;
-use mlmd_numerics::codec::{ByteReader, ByteWriter, CodecError, Fnv64};
 use mlmd_parallel::comm::{CollectiveOp, World};
 
 /// Grid points of the canonical MESH fixture (8³).
@@ -45,10 +43,6 @@ pub const FIXTURE_NORB: usize = 8;
 pub const FIXTURE_N_QD: usize = 30;
 /// Pulse amplitude the probe workloads run at.
 pub const FIXTURE_E0: f64 = 0.05;
-
-/// The ranks-per-domain rungs the distributed fit measures — the same
-/// 1/2/4 ladder every oracle suite pins bit-identity on.
-pub const RPD_LADDER: [usize; 3] = [1, 2, 4];
 
 /// Relative QD-step work of an (ngrid, norb) MESH domain, in the same
 /// kernel decomposition `DcMeshModel::qd_step_flops` uses (kin + five
@@ -69,7 +63,7 @@ pub struct Calibration {
     pub alpha: f64,
     /// Marginal per-byte collective cost (s/B), clamped at 0.
     pub beta: f64,
-    /// Serial MESH per-MD-step time on the canonical fixture (s).
+    /// MESH per-MD-step time on the canonical fixture (s).
     pub mesh_step: f64,
     /// QD steps per MD step the fixture ran with (`mesh_step`'s divisor).
     pub n_qd: f64,
@@ -77,12 +71,6 @@ pub struct Calibration {
     pub construct_cold: f64,
     /// Warm-start construction: cache hit + assembly (s).
     pub construct_warm: f64,
-    /// Distributed per-MD-step time at 1/2/4 ranks per domain
-    /// ([`RPD_LADDER`] order), fitted by a two-run difference quotient.
-    pub dist_step: [f64; 3],
-    /// Fixed per-run envelope (world spawn + in-world construction) at
-    /// 1/2/4 ranks per domain, from the same fit.
-    pub dist_fixed: [f64; 3],
     /// Supercell MD cost per atom per step (s).
     pub md_atom_step: f64,
     /// FDTD cost per Yee cell per step (s).
@@ -90,26 +78,9 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Serial per-QD-step time on the fixture.
+    /// Per-QD-step time on the fixture.
     pub fn qd_step(&self) -> f64 {
         self.mesh_step / self.n_qd
-    }
-
-    /// Fitted per-MD-step time for ranks-per-domain `rpd`, if `rpd` is
-    /// on the measured [`RPD_LADDER`].
-    pub fn dist_step_for(&self, rpd: usize) -> Option<f64> {
-        RPD_LADDER
-            .iter()
-            .position(|&r| r == rpd)
-            .map(|i| self.dist_step[i])
-    }
-
-    /// Fixed per-run envelope for ranks-per-domain `rpd`, if measured.
-    pub fn dist_fixed_for(&self, rpd: usize) -> Option<f64> {
-        RPD_LADDER
-            .iter()
-            .position(|&r| r == rpd)
-            .map(|i| self.dist_fixed[i])
     }
 
     /// Scale the measured fixture MD-step time to another MESH problem
@@ -119,82 +90,7 @@ impl Calibration {
         let work_ratio = qd_work(ngrid, norb) / qd_work(FIXTURE_NGRID, FIXTURE_NORB);
         self.mesh_step * work_ratio * (n_qd as f64 / self.n_qd)
     }
-
-    fn fields(&self) -> [f64; 14] {
-        [
-            self.alpha,
-            self.beta,
-            self.mesh_step,
-            self.n_qd,
-            self.construct_cold,
-            self.construct_warm,
-            self.dist_step[0],
-            self.dist_step[1],
-            self.dist_step[2],
-            self.dist_fixed[0],
-            self.dist_fixed[1],
-            self.dist_fixed[2],
-            self.md_atom_step,
-            self.fdtd_cell_step,
-        ]
-    }
-
-    /// Versioned, digest-checked byte encoding. Deterministic: the same
-    /// calibration always produces the same bytes, and
-    /// [`Self::decode`] restores every field bit-for-bit.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u64(CAL_MAGIC);
-        let fields = self.fields();
-        w.put_u32(fields.len() as u32);
-        let mut digest = Fnv64::new();
-        for v in fields {
-            w.put_f64(v);
-            digest.write_f64(v);
-        }
-        w.put_u64(digest.finish());
-        w.into_bytes()
-    }
-
-    /// Decode [`Self::encode`] bytes; rejects a wrong magic, field
-    /// count, or digest rather than silently mis-reading.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        let magic = r.take_u64()?;
-        if magic != CAL_MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let n = r.take_u32()? as usize;
-        if n != 14 {
-            return Err(CodecError::BadMagic);
-        }
-        let mut fields = [0.0f64; 14];
-        let mut digest = Fnv64::new();
-        for f in fields.iter_mut() {
-            *f = r.take_f64()?;
-            digest.write_f64(*f);
-        }
-        let want = r.take_u64()?;
-        if want != digest.finish() {
-            return Err(CodecError::BadDigest);
-        }
-        Ok(Self {
-            alpha: fields[0],
-            beta: fields[1],
-            mesh_step: fields[2],
-            n_qd: fields[3],
-            construct_cold: fields[4],
-            construct_warm: fields[5],
-            dist_step: [fields[6], fields[7], fields[8]],
-            dist_fixed: [fields[9], fields[10], fields[11]],
-            md_atom_step: fields[12],
-            fdtd_cell_step: fields[13],
-        })
-    }
 }
-
-/// `b"MLMDCAL1"` as a big-endian u64: format magic + version.
-const CAL_MAGIC: u64 = u64::from_be_bytes(*b"MLMDCAL1");
 
 /// Probe workload sizes for [`calibrate`]. The defaults fit a full
 /// profile in a couple of seconds on the 1-CPU CI container;
@@ -207,10 +103,8 @@ pub struct CalibrationConfig {
     pub collective_rounds: usize,
     /// Elements (f64) of the large collective payload.
     pub payload_len: usize,
-    /// Serial MESH MD steps to average the per-step time over.
+    /// MESH MD steps to average the per-step time over.
     pub mesh_steps: usize,
-    /// Base MD-step count of the distributed fit (runs `s` and `2s`).
-    pub dist_steps: usize,
     /// Supercell MD probe steps.
     pub md_steps: usize,
     /// FDTD probe cells and steps.
@@ -225,7 +119,6 @@ impl Default for CalibrationConfig {
             collective_rounds: 64,
             payload_len: 4096,
             mesh_steps: 4,
-            dist_steps: 2,
             md_steps: 50,
             fdtd_cells: 256,
             fdtd_steps: 200,
@@ -241,7 +134,6 @@ impl CalibrationConfig {
             collective_rounds: 16,
             payload_len: 1024,
             mesh_steps: 2,
-            dist_steps: 1,
             md_steps: 20,
             fdtd_steps: 100,
             ..Self::default()
@@ -262,12 +154,25 @@ fn probed_allreduce_mean(ranks: usize, rounds: usize, len: usize) -> f64 {
         .unwrap_or(0.0)
 }
 
+/// Mean wall-clock per step of an unobserved engine run.
+fn step_secs<S: Stepper>(stepper: &mut S, steps: usize) -> f64 {
+    time_secs(|| Engine::run(stepper, steps, &mut NullObserver)).1 / steps as f64
+}
+
 /// Run the probe workloads and fit a [`Calibration`].
 ///
 /// Everything measured here drives the *same* fixture problem the
-/// bit-for-bit oracle suites pin, so the planner's predictions are about
-/// execution forms that are already known to agree on results.
+/// oracle suites pin and the service's mesh jobs run.
+///
+/// # Panics
+/// If a probe step or cell count in `cfg` is zero: every per-step term
+/// is a quotient by one of them.
 pub fn calibrate(cfg: &CalibrationConfig) -> Calibration {
+    assert!(
+        cfg.mesh_steps >= 1 && cfg.md_steps >= 1 && cfg.fdtd_steps >= 1 && cfg.fdtd_cells >= 1,
+        "calibration probes need at least one step and one cell: {cfg:?}"
+    );
+
     // --- α/β: collective latency and marginal bandwidth ----------------
     let small = probed_allreduce_mean(cfg.probe_ranks, cfg.collective_rounds, 1);
     let large = probed_allreduce_mean(cfg.probe_ranks, cfg.collective_rounds, cfg.payload_len);
@@ -275,30 +180,13 @@ pub fn calibrate(cfg: &CalibrationConfig) -> Calibration {
     let payload_bytes = (cfg.payload_len.saturating_sub(1) * 8) as f64;
     let beta = ((large - small) / payload_bytes).max(0.0);
 
-    // --- serial MESH: construction (cold/warm) + per-step kernel -------
+    // --- MESH: construction (cold/warm) + per-step kernel --------------
     let cache = GroundStateCache::new();
-    let warmed = |e0: f64| small_mesh_builder(e0).warm_start(WarmStart::InMemory(cache.clone()));
-    let (driver, construct_cold) = time_secs(|| warmed(FIXTURE_E0).build());
+    let warmed = || small_mesh_builder(FIXTURE_E0).warm_start(WarmStart::InMemory(cache.clone()));
+    let (driver, construct_cold) = time_secs(|| warmed().build());
     drop(driver);
-    let (mut driver, construct_warm) = time_secs(|| warmed(FIXTURE_E0).build());
-    let mut probe = CostProbe::new(NullObserver);
-    Engine::run(&mut driver, cfg.mesh_steps, &mut probe);
-    let mesh_step = probe.report("serial_mesh").step_secs_mean;
-
-    // --- distributed MESH: per-step + fixed envelope per rpd rung ------
-    // Two runs of s and 2s steps: the difference quotient cancels the
-    // world-spawn + construction envelope, which the short run then
-    // isolates. Warm starts keep the envelope about assembly, not descent.
-    let s = cfg.dist_steps.max(1);
-    let mut dist_step = [0.0; 3];
-    let mut dist_fixed = [0.0; 3];
-    for (i, &rpd) in RPD_LADDER.iter().enumerate() {
-        let (_, t1) = time_secs(|| run_distributed_mesh(1, rpd, s, |_| warmed(FIXTURE_E0)));
-        let (_, t2) = time_secs(|| run_distributed_mesh(1, rpd, 2 * s, |_| warmed(FIXTURE_E0)));
-        let step = ((t2 - t1) / s as f64).max(0.0);
-        dist_step[i] = step;
-        dist_fixed[i] = (t1 - s as f64 * step).max(0.0);
-    }
+    let (mut driver, construct_warm) = time_secs(|| warmed().build());
+    let mesh_step = step_secs(&mut driver, cfg.mesh_steps);
 
     // --- supercell MD: per-atom per-step cost --------------------------
     let mut md_config = PipelineConfig::small_demo();
@@ -307,9 +195,7 @@ pub fn calibrate(cfg: &CalibrationConfig) -> Calibration {
     let atoms = md_config.n_atoms() as f64;
     let pipeline = Pipeline::new(md_config);
     let mut stage = pipeline.supercell_md_stage(0.0);
-    let mut probe = CostProbe::new(NullObserver);
-    Engine::run(&mut stage, cfg.md_steps, &mut probe);
-    let md_atom_step = probe.report("supercell_md").step_secs_mean / atoms;
+    let md_atom_step = step_secs(&mut stage, cfg.md_steps) / atoms;
 
     // --- FDTD: per-cell per-step cost ----------------------------------
     let field = Yee1d::new(cfg.fdtd_cells, 0.02, 0.009);
@@ -318,9 +204,7 @@ pub fn calibrate(cfg: &CalibrationConfig) -> Calibration {
         GaussianPulse::new(0.1, 0.8, 4.0, 2.0),
         cfg.fdtd_cells / 2,
     );
-    let mut probe = CostProbe::new(NullObserver);
-    Engine::run(&mut yee, cfg.fdtd_steps, &mut probe);
-    let fdtd_cell_step = probe.report("fdtd").step_secs_mean / cfg.fdtd_cells as f64;
+    let fdtd_cell_step = step_secs(&mut yee, cfg.fdtd_steps) / cfg.fdtd_cells as f64;
 
     Calibration {
         alpha,
@@ -329,8 +213,6 @@ pub fn calibrate(cfg: &CalibrationConfig) -> Calibration {
         n_qd: FIXTURE_N_QD as f64,
         construct_cold,
         construct_warm,
-        dist_step,
-        dist_fixed,
         md_atom_step,
         fdtd_cell_step,
     }
@@ -353,72 +235,27 @@ mod tests {
             cal.construct_warm,
             cal.construct_cold
         );
-        for (step, fixed) in cal.dist_step.iter().zip(&cal.dist_fixed) {
-            assert!(step.is_finite() && *step >= 0.0);
-            assert!(fixed.is_finite() && *fixed >= 0.0);
-        }
         assert!(cal.md_atom_step > 0.0);
         assert!(cal.fdtd_cell_step > 0.0);
     }
 
-    #[test]
-    fn codec_roundtrip_is_bit_exact() {
-        let cal = Calibration {
-            alpha: 3.5e-6,
-            beta: 4.1e-11,
-            mesh_step: 0.0123,
-            n_qd: 30.0,
-            construct_cold: 0.004,
-            construct_warm: 0.0007,
-            dist_step: [0.013, 0.021, 0.038],
-            dist_fixed: [0.002, 0.003, 0.006],
-            md_atom_step: 2.0e-7,
-            fdtd_cell_step: 3.0e-9,
-        };
-        let bytes = cal.encode();
-        let back = Calibration::decode(&bytes).unwrap();
-        for (a, b) in cal.fields().iter().zip(back.fields()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(bytes, back.encode(), "encoding is deterministic");
-    }
-
-    #[test]
-    fn decode_rejects_corruption() {
-        let cal = Calibration {
-            alpha: 1e-6,
-            beta: 1e-11,
-            mesh_step: 0.01,
-            n_qd: 30.0,
-            construct_cold: 0.004,
-            construct_warm: 0.001,
-            dist_step: [0.01, 0.02, 0.04],
-            dist_fixed: [0.0; 3],
-            md_atom_step: 1e-7,
-            fdtd_cell_step: 1e-9,
-        };
-        let mut bytes = cal.encode();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        assert!(Calibration::decode(&bytes).is_err());
-        assert!(Calibration::decode(&bytes[..10]).is_err());
-        assert!(Calibration::decode(b"junk").is_err());
-    }
-
-    #[test]
-    fn mesh_step_scaling_is_work_proportional() {
-        let cal = Calibration {
+    /// A fit whose only cost is a 1 s MESH step on the fixture.
+    fn unit_calibration() -> Calibration {
+        Calibration {
             alpha: 0.0,
             beta: 0.0,
             mesh_step: 1.0,
             n_qd: FIXTURE_N_QD as f64,
             construct_cold: 0.0,
             construct_warm: 0.0,
-            dist_step: [0.0; 3],
-            dist_fixed: [0.0; 3],
             md_atom_step: 0.0,
             fdtd_cell_step: 0.0,
-        };
+        }
+    }
+
+    #[test]
+    fn mesh_step_scaling_is_work_proportional() {
+        let cal = unit_calibration();
         // Same shape, same n_qd → identity.
         let same = cal.mesh_step_scaled(FIXTURE_NGRID, FIXTURE_NORB, FIXTURE_N_QD);
         assert!((same - 1.0).abs() < 1e-12);
@@ -431,23 +268,19 @@ mod tests {
     }
 
     #[test]
-    fn ladder_lookups() {
-        let mut cal = Calibration {
-            alpha: 0.0,
-            beta: 0.0,
-            mesh_step: 0.3,
-            n_qd: 30.0,
-            construct_cold: 0.0,
-            construct_warm: 0.0,
-            dist_step: [1.0, 2.0, 3.0],
-            dist_fixed: [0.1, 0.2, 0.3],
-            md_atom_step: 0.0,
-            fdtd_cell_step: 0.0,
-        };
-        assert_eq!(cal.dist_step_for(2), Some(2.0));
-        assert_eq!(cal.dist_fixed_for(4), Some(0.3));
-        assert_eq!(cal.dist_step_for(3), None);
+    fn qd_step_divides_the_md_step_by_the_inner_loop_length() {
+        let mut cal = unit_calibration();
+        cal.mesh_step = 0.3;
         cal.n_qd = 30.0;
         assert!((cal.qd_step() - 0.01).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one step")]
+    fn zero_step_probe_is_refused() {
+        calibrate(&CalibrationConfig {
+            md_steps: 0,
+            ..CalibrationConfig::quick()
+        });
     }
 }

@@ -32,16 +32,16 @@
 //!
 //! * [`calibrate()`](calibrate::calibrate) runs short probe workloads on the canonical fixture
 //!   (via `mlmd_parallel::comm::World::run_probed` collective counters
-//!   and `mlmd_core::probe::CostProbe` step timings) and fits a
-//!   [`calibrate::Calibration`]: α/β, serial and distributed per-step
-//!   times, cold/warm construction, per-atom MD and per-cell FDTD costs.
+//!   and `mlmd_core::probe::time_secs` over whole engine runs) and fits
+//!   a [`calibrate::Calibration`]: α/β, the MESH per-step time,
+//!   cold/warm construction, per-atom MD and per-cell FDTD costs.
 //!   [`Machine::from_calibration`] turns a fit into a container machine
 //!   profile alongside the analytic [`Machine::aurora`].
-//! * [`planner`] inverts the calibrated model: given a job's workload
-//!   shape, [`planner::Planner::plan`] enumerates feasible
-//!   (ranks-per-domain, batch width, sampling stride) choices, predicts
-//!   wall-clock and queue cost, and returns a [`planner::Placement`] plus
-//!   a [`planner::PlanVerdict`] — what `mlmd-service` consults at
+//! * [`planner`] applies the calibrated model to a job's workload shape:
+//!   [`planner::Planner::plan`] predicts the wall-clock and queue cost
+//!   of running it as an in-process batch — the one form the service
+//!   executes — and returns a [`planner::Prediction`] plus a
+//!   [`planner::PlanVerdict`] — what `mlmd-service` consults at
 //!   admission.
 
 pub mod calibrate;
@@ -55,4 +55,4 @@ pub mod sota;
 
 pub use calibrate::{calibrate, Calibration, CalibrationConfig};
 pub use machine::Machine;
-pub use planner::{Placement, PlanJob, PlanLimits, PlanVerdict, Planner, RejectReason};
+pub use planner::{PlanJob, PlanLimits, PlanVerdict, Planner, RejectReason};

@@ -28,16 +28,13 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Decoding failure: the buffer ended before the requested value, or a
-/// framed payload failed its self-identification checks.
+/// Decoding failure: the buffer ended before the requested value. (What
+/// a frame's magic, version and digest must be is the frame owner's
+/// business — `mlmd-dcmesh`'s `CheckpointError` — not this layer's.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodecError {
     /// The reader needed `needed` more bytes but only `remaining` were left.
     Truncated { needed: usize, remaining: usize },
-    /// A format magic/version word did not match what the decoder expects.
-    BadMagic,
-    /// An integrity digest did not match the decoded payload.
-    BadDigest,
 }
 
 impl fmt::Display for CodecError {
@@ -47,8 +44,6 @@ impl fmt::Display for CodecError {
                 f,
                 "truncated payload: needed {needed} more bytes, {remaining} remaining"
             ),
-            CodecError::BadMagic => write!(f, "format magic/version mismatch"),
-            CodecError::BadDigest => write!(f, "integrity digest mismatch"),
         }
     }
 }

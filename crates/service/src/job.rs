@@ -386,7 +386,6 @@ impl JobSpec {
                 ngrid: MESH_STAGE_NGRID,
                 norb: MESH_STAGE_NORB,
                 n_qd: config.ehrenfest.n_qd,
-                stride: 1,
                 warm_shared: matches!(config.mesh_warm_start, WarmStartPolicy::ProcessCache),
             },
             JobSpec::MeshRun {
@@ -397,7 +396,6 @@ impl JobSpec {
                 ngrid: MESH_STAGE_NGRID,
                 norb: MESH_STAGE_NORB,
                 n_qd: config.ehrenfest.n_qd,
-                stride: 1,
                 warm_shared: matches!(config.mesh_warm_start, WarmStartPolicy::ProcessCache),
             },
             JobSpec::MdRun {

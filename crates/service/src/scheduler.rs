@@ -21,10 +21,11 @@
 //!   do not consume queue slots.
 //! * **Planning** (when [`ServiceConfig::planner`] is set): every
 //!   submission is costed ahead of time by the calibrated
-//!   [`Planner`] — a job whose best execution choice still exceeds the
-//!   planner's limits is refused with [`SubmitError::PlanRejected`]
+//!   [`Planner`], as the in-process batch [`JobSpec::run`] executes —
+//!   a job whose prediction exceeds the planner's limits (or is not
+//!   finite) is refused with [`SubmitError::PlanRejected`]
 //!   before it can occupy a queue slot; an admitted job carries its
-//!   [`Placement`] (see [`JobHandle::plan`]) and, when predicted longer
+//!   [`Prediction`] (see [`JobHandle::plan`]) and, when predicted longer
 //!   than `batch_threshold_secs`, is demoted one priority band so batch
 //!   work cannot crowd interactive requests. Workers measure actual
 //!   wall-clock, and [`MetricsSnapshot`] reports the running
@@ -54,7 +55,7 @@ use crate::job::{JobOutput, JobResult, JobSpec, Priority};
 use crate::progress::{EventSink, JobEvent, JobId};
 use crossbeam::channel::{Receiver, Sender};
 use mlmd_core::engine::{CancelToken, SampleStride};
-use mlmd_exasim::planner::{Placement, PlanVerdict, Planner};
+use mlmd_exasim::planner::{PlanVerdict, Planner, Prediction};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -98,10 +99,10 @@ impl Default for ServiceConfig {
 pub enum SubmitError {
     /// The bounded queue is full — back off and retry (backpressure).
     QueueFull { capacity: usize },
-    /// The planner predicts that even the cheapest execution choice
-    /// exceeds the admission limits — the verdict carries which limit
-    /// and by how much. Resize the job (fewer steps, coarser stride) and
-    /// resubmit; retrying unchanged can never succeed.
+    /// The planner's prediction for the job exceeds the admission
+    /// limits — the verdict carries which limit and by how much. Resize
+    /// the job (fewer steps, fewer runs) and resubmit; retrying
+    /// unchanged can never succeed.
     PlanRejected(PlanVerdict),
     /// The scheduler is shutting down and no longer accepts work.
     ShuttingDown,
@@ -151,14 +152,14 @@ struct JobCore {
     state: Mutex<CoreState>,
     resolved: Condvar,
     submitted_at: Instant,
-    /// The planner's chosen execution plan, when admission planning is
-    /// on. Dedup followers carry the same plan as their primary (same
-    /// spec, same plan).
-    plan: Option<Placement>,
+    /// The planner's prediction, when admission planning is on. Dedup
+    /// followers carry the same one as their primary (same spec, same
+    /// prediction).
+    plan: Option<Prediction>,
 }
 
 impl JobCore {
-    fn new(id: JobId, sink: EventSink, plan: Option<Placement>) -> Self {
+    fn new(id: JobId, sink: EventSink, plan: Option<Prediction>) -> Self {
         Self {
             id,
             cancel: CancelToken::new(),
@@ -391,10 +392,10 @@ impl JobHandle {
         self.deduped
     }
 
-    /// The planner's chosen execution plan for this job, when the
-    /// scheduler was configured with one ([`ServiceConfig::planner`]).
-    /// Dedup followers report the same plan as their primary.
-    pub fn plan(&self) -> Option<Placement> {
+    /// The planner's prediction for this job, when the scheduler was
+    /// configured with one ([`ServiceConfig::planner`]). Dedup followers
+    /// report the same prediction as their primary.
+    pub fn plan(&self) -> Option<Prediction> {
         self.core.plan
     }
 
@@ -642,20 +643,20 @@ impl Scheduler {
         let mut priority = priority;
         let mut plan = None;
         if let Some(planner) = &inner.config.planner {
-            let (chosen, verdict) = planner.plan(&spec.plan_job());
+            let (predicted, verdict) = planner.plan(&spec.plan_job());
             if !verdict.is_accept() {
                 inner.metrics.plan_rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(SubmitError::PlanRejected(verdict));
             }
             inner.metrics.planned.fetch_add(1, Ordering::Relaxed);
-            if chosen.predicted_secs > planner.limits.batch_threshold_secs {
+            if predicted.predicted_secs > planner.limits.batch_threshold_secs {
                 let demoted = priority.demote();
                 if demoted != priority {
                     inner.metrics.demoted.fetch_add(1, Ordering::Relaxed);
                     priority = demoted;
                 }
             }
-            plan = Some(chosen);
+            plan = Some(predicted);
         }
         let key = spec.dedup_key();
         let mut q = inner.queue.lock().expect("scheduler queue poisoned");
@@ -827,6 +828,17 @@ mod tests {
         JobSpec::fdtd_pulse(100_000, 0.2, omega_tag, 20_000)
     }
 
+    /// Submit a [`slow_blocker`] and block until a worker is inside it,
+    /// so whatever is submitted next is ordered by the queue alone.
+    fn stall_worker(s: &Scheduler, omega_tag: f64) -> JobHandle {
+        let blocker = s.submit(slow_blocker(omega_tag)).unwrap();
+        while !matches!(
+            blocker.events().recv().expect("blocker resolved unstarted"),
+            JobEvent::Started { .. }
+        ) {}
+        blocker
+    }
+
     fn one_worker() -> Scheduler {
         Scheduler::new(ServiceConfig {
             workers: 1,
@@ -849,8 +861,6 @@ mod tests {
             n_qd: 30.0,
             construct_cold: 0.008,
             construct_warm: 0.0008,
-            dist_step: [0.0; 3],
-            dist_fixed: [0.0; 3],
             md_atom_step: 2.0e-7,
             fdtd_cell_step: 4.0e-9,
         };
@@ -900,8 +910,7 @@ mod tests {
         planner.limits.max_cost_rank_secs = f64::INFINITY;
         let s = planned_scheduler(planner);
         // Stall the worker so ordering is decided by the queue alone.
-        let blocker = s.submit(slow_blocker(0.95)).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
+        let blocker = stall_worker(&s, 0.95);
         let rx = s.subscribe();
         // Every submission is predicted over the threshold, so each lands
         // one band down: High→Normal and Normal→Low.
@@ -926,8 +935,7 @@ mod tests {
     #[test]
     fn dedup_followers_share_the_primary_plan() {
         let s = planned_scheduler(test_planner());
-        let blocker = s.submit(slow_blocker(0.94)).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
+        let blocker = stall_worker(&s, 0.94);
         let first = s.submit(fdtd(30, 0.43)).unwrap();
         let second = s.submit(fdtd(30, 0.43)).unwrap();
         assert!(second.is_deduped());
@@ -997,8 +1005,7 @@ mod tests {
             planner: None,
         });
         // Occupy the worker, then fill the two queue slots.
-        let blocker = s.submit(slow_blocker(0.98)).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
+        let blocker = stall_worker(&s, 0.98);
         let a = s.submit(fdtd(5, 0.11)).unwrap();
         let b = s.submit(fdtd(5, 0.12)).unwrap();
         let err = s.submit(fdtd(5, 0.13)).unwrap_err();
@@ -1015,8 +1022,7 @@ mod tests {
     fn priority_bands_and_tenant_fairness_order_execution() {
         let s = one_worker();
         // Stall the worker so the whole batch queues before any runs.
-        let blocker = s.submit(slow_blocker(0.97)).unwrap();
-        std::thread::sleep(Duration::from_millis(20));
+        let blocker = stall_worker(&s, 0.97);
         let rx = s.subscribe();
         // tenant A floods normal priority; tenant B submits one normal
         // job and one high-priority job.
@@ -1053,13 +1059,9 @@ mod tests {
     #[test]
     fn cancelling_queued_job_never_executes() {
         let s = one_worker();
-        let blocker = s.submit(slow_blocker(0.96)).unwrap();
         // The single worker must be inside the blocker before the victim
         // is queued, or cancelling the blocker below leaves `executed` 0.
-        while !matches!(
-            blocker.events().recv().expect("blocker resolved unstarted"),
-            JobEvent::Started { .. }
-        ) {}
+        let blocker = stall_worker(&s, 0.96);
         let victim = s.submit(fdtd(50, 0.61)).unwrap();
         victim.cancel();
         let out = victim.wait();

@@ -4,7 +4,7 @@
 //! collectives + fixture MESH/MD/FDTD runs), prints the fitted
 //! constants, and opens a scheduler with the planner wired into
 //! admission. It then submits three jobs: a right-sized MESH run (shows
-//! the chosen plan and, after execution, the prediction error), a
+//! the prediction and, after execution, its error), a
 //! deliberately oversized run (refused with the typed verdict before it
 //! can occupy a queue slot), and an MD relaxation predicted long enough
 //! to be demoted to the batch band.
@@ -27,13 +27,9 @@ fn main() {
     let cal = calibrate(&CalibrationConfig::quick());
     println!("  collective alpha    {:>12.3e} s/op", cal.alpha);
     println!("  collective beta     {:>12.3e} s/B", cal.beta);
-    println!("  MESH step (serial)  {:>12.6} s", cal.mesh_step);
+    println!("  MESH step           {:>12.6} s", cal.mesh_step);
     println!("  construction (cold) {:>12.6} s", cal.construct_cold);
     println!("  construction (warm) {:>12.6} s", cal.construct_warm);
-    println!(
-        "  MESH step at 1/2/4 ranks/domain: {:.6} / {:.6} / {:.6} s",
-        cal.dist_step[0], cal.dist_step[1], cal.dist_step[2]
-    );
     println!("  MD per atom-step    {:>12.3e} s", cal.md_atom_step);
     println!("  FDTD per cell-step  {:>12.3e} s", cal.fdtd_cell_step);
 
@@ -42,7 +38,6 @@ fn main() {
         max_wall_secs: 30.0,
         max_cost_rank_secs: 120.0,
         batch_threshold_secs: 0.05,
-        max_trace_samples: 100_000,
     });
     let scheduler = Scheduler::new(ServiceConfig {
         workers: 1,
@@ -64,10 +59,9 @@ fn main() {
     let plan = job.plan().expect("planner annotated the job");
     println!("\nMESH run ({steps} steps) admitted:");
     println!(
-        "  plan: ranks/domain {:?}, batch width {}, stride {}",
-        plan.ranks_per_domain, plan.batch_width, plan.sample_stride
+        "  predicted {:.4} s wall-clock, {:.4} rank-seconds (as an in-process batch)",
+        plan.predicted_secs, plan.predicted_cost
     );
-    println!("  predicted {:.4} s wall-clock", plan.predicted_secs);
     let out = job.wait();
     assert!(!out.cancelled);
     let m = scheduler.metrics();

@@ -23,9 +23,6 @@ cargo bench -p mlmd-bench --bench dc_scaling -- --test
 echo "==> cargo bench -p mlmd-bench --bench service_load -- --test  (smoke)"
 cargo bench -p mlmd-bench --bench service_load -- --test
 
-echo "==> cargo bench -p mlmd-bench --bench planner -- --test  (smoke)"
-cargo bench -p mlmd-bench --bench planner -- --test
-
 echo "==> cargo bench -p mlmd-bench --bench floquet -- --test  (smoke + <10% observer-overhead assert)"
 cargo bench -p mlmd-bench --bench floquet -- --test
 

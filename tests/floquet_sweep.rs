@@ -22,8 +22,6 @@ fn synthetic_planner() -> Planner {
         n_qd: 30.0,
         construct_cold: 0.008,
         construct_warm: 0.0008,
-        dist_step: [0.0; 3],
-        dist_fixed: [0.0; 3],
         md_atom_step: 2.0e-7,
         fdtd_cell_step: 4.0e-9,
     };

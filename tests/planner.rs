@@ -10,8 +10,7 @@ use mlmd_exasim::calibrate::{calibrate, Calibration, CalibrationConfig, FIXTURE_
 use mlmd_exasim::planner::{PlanLimits, Planner};
 use mlmd_exasim::Machine;
 use mlmd_service::scheduler::{Scheduler, ServiceConfig, SubmitError};
-use mlmd_service::{JobSpec, Priority};
-use std::time::Duration;
+use mlmd_service::{JobEvent, JobSpec, Priority};
 
 /// The small-fixture material: the pipeline's MESH stage is the same
 /// 8³-grid / 8-state / 30-QD-step domain the calibration probes, so the
@@ -43,8 +42,6 @@ fn synthetic_planner() -> Planner {
         n_qd: 30.0,
         construct_cold: 0.008,
         construct_warm: 0.0008,
-        dist_step: [0.0; 3],
-        dist_fixed: [0.0; 3],
         md_atom_step: 2.0e-7,
         fdtd_cell_step: 4.0e-9,
     };
@@ -109,6 +106,24 @@ fn oversized_job_is_refused_with_the_typed_verdict() {
 }
 
 #[test]
+fn admitted_job_carries_the_planners_prediction() {
+    // What admission annotates a job with is `Planner::plan` of its
+    // shape — there is no second costing inside the scheduler.
+    let planner = synthetic_planner();
+    let s = planned_scheduler(planner);
+    for spec in [
+        JobSpec::mesh_run(fixture_material(), 0.05, 2),
+        JobSpec::fdtd_pulse(64, 0.2, 0.3, 25),
+    ] {
+        let want = planner.plan(&spec.plan_job()).0;
+        let job = s.submit(spec).unwrap();
+        assert_eq!(job.plan(), Some(want));
+        job.wait();
+    }
+    s.shutdown();
+}
+
+#[test]
 fn predicted_long_jobs_queue_behind_interactive_work() {
     let mut planner = synthetic_planner();
     // Everything FDTD-sized is "interactive"; mesh work is "batch".
@@ -122,7 +137,10 @@ fn predicted_long_jobs_queue_behind_interactive_work() {
     let blocker = s
         .submit(JobSpec::fdtd_pulse(100_000, 0.2, 0.99, 20_000))
         .unwrap();
-    std::thread::sleep(Duration::from_millis(20));
+    while !matches!(
+        blocker.events().recv().expect("blocker resolved unstarted"),
+        JobEvent::Started { .. }
+    ) {}
     let feed = s.subscribe();
     // Submitted second at Normal, but predicted long → demoted to Low.
     let batch = s
@@ -142,7 +160,7 @@ fn predicted_long_jobs_queue_behind_interactive_work() {
     let started: Vec<_> = feed
         .try_iter()
         .filter_map(|e| match e {
-            mlmd_service::JobEvent::Started { id } => Some(id),
+            JobEvent::Started { id } => Some(id),
             _ => None,
         })
         .collect();
