@@ -17,23 +17,29 @@
 //!   xc) runs redundantly on each domain root, which then restricts the
 //!   global potential to its domain's buffered grid and broadcasts it
 //!   through the domain communicator;
-//! * **local solve** — within a domain, each rank descends the orbital
-//!   block given by [`Hierarchy::band_range`] and assembles its columns
-//!   of the subspace Hamiltonian; the coupling steps (Gram–Schmidt,
-//!   Rayleigh–Ritz diagonalize + rotate) are synchronized by
-//!   [`Comm::allgather_vec`] of the panel and run redundantly.
+//! * **local solve** — [`scf::local_solve`] over the domain communicator,
+//!   the same function the serial driver calls with none: each rank
+//!   descends its [`partition`](mlmd_parallel::hier::partition) block of
+//!   orbitals and assembles its columns of the subspace Hamiltonian; the
+//!   coupling steps (Gram–Schmidt, Rayleigh–Ritz diagonalize + rotate)
+//!   are synchronized by [`Comm::allgather_vec`] and run redundantly.
+//!
+//! What this driver owns is therefore only what needs the world: the
+//! hierarchy, the density allreduce, the root-resolves-then-broadcast of
+//! the initial panel and of `v_local` (`root_resolves`), and the
+//! band-energy allreduce.
 //!
 //! # Bit-identity to the serial oracle
 //!
-//! The serial [`crate::scf::DcScf`] stays as the oracle, and the integration suite
-//! (`tests/dc_dist.rs`) pins this driver's band-energy trajectory to it
-//! **bit-for-bit** at 1, 2, and 4 ranks per domain. No tolerance is
-//! needed because no float sum is ever reordered:
+//! The serial [`crate::scf::DcScf`] — every domain on one rank — stays as
+//! the oracle, and the integration suite (`tests/dc_dist.rs`) pins this
+//! driver's band-energy trajectory to it **bit-for-bit** at 1, 2, and 4
+//! ranks per domain. No tolerance is needed because no float sum is ever
+//! reordered:
 //!
 //! * the steepest-descent update and each subspace-Hamiltonian entry read
 //!   and write only their own column, so sharding columns over ranks
-//!   computes exactly the serial values ([`scf::descend_columns`],
-//!   [`scf::subspace_h_columns`]);
+//!   computes exactly the serial values;
 //! * the orbital-coupling steps (Gram–Schmidt, hermitize + eigh + rotate,
 //!   density mixing, multigrid solve) run redundantly on identical
 //!   replicated inputs;
@@ -50,9 +56,22 @@ use crate::scf::{self, ScfIteration};
 use mlmd_lfd::occupation::Occupations;
 use mlmd_lfd::potential::AtomSite;
 use mlmd_lfd::wavefunction::WaveFunctions;
-use mlmd_numerics::complex::c64;
 use mlmd_parallel::comm::{Comm, World};
 use mlmd_parallel::hier::Hierarchy;
+
+/// A value the domain root resolves once and every rank of `domain` ends
+/// up with: the root calls `resolve` and broadcasts, so a descent, a cache
+/// lookup or a checkpoint read happens once per domain. One rank is just
+/// `resolve()` — no collective.
+pub(crate) fn root_resolves<T: Send + Clone + 'static>(
+    domain: &Comm,
+    resolve: impl FnOnce() -> T,
+) -> T {
+    if domain.size() == 1 {
+        return resolve();
+    }
+    domain.bcast(0, (domain.rank() == 0).then(resolve))
+}
 
 /// The rank-local state of the distributed global–local SCF driver.
 ///
@@ -104,11 +123,10 @@ impl DistributedDcScf {
     }
 
     /// Initialize with this domain's initial panel resolved through a
-    /// warm-start source — **once, on the domain root** — and broadcast
-    /// over the domain communicator, instead of every rank constructing
-    /// its own replica. Broadcasting a value the serial kernel produced
-    /// preserves bit-identity trivially, and it means a cache hit or a
-    /// checkpoint file is read by one rank per domain, not all of them.
+    /// warm-start source once, on the domain root, and broadcast
+    /// (`root_resolves`): a cache hit or a checkpoint file is read by one
+    /// rank per domain, and broadcasting a value the serial kernel
+    /// produced preserves bit-identity trivially.
     #[allow(clippy::too_many_arguments)] // mirrors the serial constructor + source
     pub fn with_warm_start(
         world: Comm,
@@ -121,7 +139,7 @@ impl DistributedDcScf {
     ) -> Self {
         let hier = Hierarchy::build(world, decomposition.len());
         let dom = decomposition.domains[hier.domain_index].clone();
-        let wf = if hier.domain.size() == 1 {
+        let wf = root_resolves(&hier.domain, || {
             scf::resolve_initial_panel(
                 &dom.grid,
                 norb,
@@ -130,21 +148,7 @@ impl DistributedDcScf {
                 hier.domain_index,
                 warm_start,
             )
-        } else {
-            let panel = if hier.domain.rank() == 0 {
-                Some(scf::resolve_initial_panel(
-                    &dom.grid,
-                    norb,
-                    electrons_per_domain,
-                    seed,
-                    hier.domain_index,
-                    warm_start,
-                ))
-            } else {
-                None
-            };
-            hier.domain.bcast(0, panel)
-        };
+        });
         let occ = Occupations::aufbau(norb, electrons_per_domain);
         let global_len = decomposition.spec.global.len();
         let v_local = vec![0.0; dom.grid.len()];
@@ -191,22 +195,6 @@ impl DistributedDcScf {
         self.hier.world.allreduce_sum_vec(contrib)
     }
 
-    /// Synchronize the domain's panel after each rank updated its own
-    /// orbital block: all-gather the band-range column blocks (contiguous
-    /// and in domain-rank order, so the concatenation *is* the column-major
-    /// panel) and overwrite the replica.
-    fn sync_panel(&mut self) {
-        if self.hier.domain.size() == 1 {
-            return;
-        }
-        let ngrid = self.wf.ngrid();
-        let cols = self.hier.band_range(self.wf.norb);
-        let mine: Vec<c64> = self.wf.psi.as_slice()[cols.start * ngrid..cols.end * ngrid].to_vec();
-        let full = self.hier.domain.allgather_vec(mine);
-        debug_assert_eq!(full.len(), ngrid * self.wf.norb);
-        self.wf.psi.as_mut_slice().copy_from_slice(&full);
-    }
-
     /// One distributed global–local SCF iteration; returns the total band
     /// energy (identical on every rank). Collective over world.
     pub fn iterate(&mut self) -> f64 {
@@ -218,32 +206,17 @@ impl DistributedDcScf {
         // 2–3. Global solve redundantly on each domain root; restrict to
         //    the domain's buffered grid and broadcast through the domain
         //    communicator.
-        let v_local = if self.hier.domain.rank() == 0 {
+        let v_local = root_resolves(&self.hier.domain, || {
             let v_global = scf::assemble_global_potential(&g, &self.rho_global, &self.atoms);
-            Some(self.dom.restrict(&g, &v_global))
-        } else {
-            None
-        };
-        let v_local = self.hier.domain.bcast(0, v_local);
-        // 4. Local solve, band tier: each rank descends its orbital block;
-        //    Gram–Schmidt runs redundantly on the synchronized panel.
-        let cols = self.hier.band_range(self.wf.norb);
-        for _ in 0..scf::DESCENT_STEPS {
-            scf::descend_columns(
-                &self.dom.grid,
-                &v_local,
-                &mut self.wf,
-                scf::DESCENT_ETA,
-                cols.clone(),
-            );
-            self.sync_panel();
-            scf::orthonormalize_panel(&self.dom.grid, &mut self.wf);
-        }
-        // Rayleigh–Ritz: each rank assembles its columns of the subspace
-        // Hamiltonian; diagonalization + rotation run redundantly.
-        let h_cols = scf::subspace_h_columns(&self.dom.grid, &v_local, &self.wf, cols);
-        let h_flat = self.hier.domain.allgather_vec(h_cols);
-        let eps = scf::finish_subspace_rotate(&mut self.wf, h_flat);
+            self.dom.restrict(&g, &v_global)
+        });
+        // 4. Local solve, band tier.
+        let eps = scf::local_solve(
+            &self.dom.grid,
+            &v_local,
+            &mut self.wf,
+            Some(&self.hier.domain),
+        );
         let e_dom: f64 = eps.iter().enumerate().map(|(s, e)| self.occ.f(s) * e).sum();
         self.v_local = v_local;
         // 5. Total band energy: one non-zero term per domain, left-folded

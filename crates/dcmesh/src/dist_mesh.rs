@@ -20,6 +20,7 @@
 //! * [`run_distributed_mesh`] — the harness `tests/mesh_dist.rs` uses to
 //!   pin 1, 2 and 4 ranks per domain bit-for-bit to [`MeshDriver::run`].
 
+use crate::dist::root_resolves;
 use crate::mesh::{MeshDriver, MeshDriverBuilder, MeshStepRecord};
 use mlmd_parallel::comm::{Comm, World};
 use mlmd_parallel::hier::Hierarchy;
@@ -61,18 +62,13 @@ impl DistributedMeshDriver {
     /// the *builder* of the serial driver for a given domain index (called
     /// once per rank, with this rank's domain index).
     ///
-    /// The expensive part of construction — the 60-sweep ground-state
-    /// pre-descent — is **not** replicated per rank: the domain root
-    /// resolves the converged ground state (through the builder's
-    /// warm-start source, so a cache or checkpoint also short-circuits
-    /// the root's descent) and broadcasts it over the domain
-    /// communicator; every rank then assembles its replica from that one
-    /// panel via [`MeshDriverBuilder::build_with`], which re-checks the
-    /// config hash rank-locally — a divergent replica input is a hard
-    /// error, never a silent mismatch. Broadcasting one value computed by
-    /// the serial kernel sequence preserves the bit-identity discipline
-    /// trivially: every replica starts from exactly the serial initial
-    /// state.
+    /// The 60-sweep ground-state pre-descent is **not** replicated per
+    /// rank: the domain root resolves the ground state through the
+    /// builder's warm-start source and broadcasts it (`root_resolves`);
+    /// every rank assembles its replica from that one panel via
+    /// [`MeshDriverBuilder::build_with`], which re-checks the config hash
+    /// rank-locally — a divergent replica input is a hard error, never a
+    /// silent mismatch.
     pub fn new(
         world: Comm,
         n_domains: usize,
@@ -80,17 +76,8 @@ impl DistributedMeshDriver {
     ) -> Self {
         let hier = Hierarchy::build(world, n_domains);
         let builder = make_domain(hier.domain_index);
-        let inner = if hier.domain.size() == 1 {
-            builder.build()
-        } else {
-            let gs = if hier.domain.rank() == 0 {
-                Some(builder.resolve_ground_state())
-            } else {
-                None
-            };
-            let gs = hier.domain.bcast(0, gs);
-            builder.build_with(gs)
-        };
+        let gs = root_resolves(&hier.domain, || builder.resolve_ground_state());
+        let inner = builder.build_with(gs);
         Self {
             hier,
             inner,

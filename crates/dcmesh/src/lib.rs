@@ -13,8 +13,9 @@
 //!   (the GSLF/GSLD solver split of Sec. V.A.2).
 //! * [`ehrenfest`] — the N_QD-step inner loop of Eq. (2): split-operator
 //!   QD steps under frozen Δv with the self-consistent time-reversible
-//!   Hartree update of ref \[43\], plus the column-propagate / fold
-//!   kernel pair a band group runs it through.
+//!   Hartree update of ref \[43\]. One loop, in column-block form over
+//!   the domain's band group; [`ehrenfest::run_inner_loop`] is its
+//!   one-block case.
 //! * [`shadow`] — shadow dynamics (Sec. V.A.3): GPU-resident wave
 //!   functions, CPU↔GPU handshake limited to Δv_loc (down) and
 //!   Δf / n_exc / J (up), byte-accounted so tests can assert the
@@ -39,8 +40,8 @@
 //!
 //! | on ranks | on one rank | shared code | pinned by |
 //! |---|---|---|---|
-//! | [`dist::DistributedDcScf`] | [`scf::DcScf`] (kept as the oracle) | [`scf::run_scf_loop`], [`scf::descend_columns`] and the column kernels | `tests/dc_dist.rs` |
-//! | [`dist_mesh::DistributedMeshDriver`] | [`mesh::MeshDriver`] | the whole step: one body, `MeshDriver::step_in`, taking the domain communicator | `tests/mesh_dist.rs` |
+//! | [`dist::DistributedDcScf`] (one domain per rank group) | [`scf::DcScf`] (all domains on one rank; kept as the oracle) | [`scf::run_scf_loop`] and the whole local solve, [`scf::local_solve`], taking the domain communicator | `tests/dc_dist.rs` |
+//! | [`dist_mesh::DistributedMeshDriver`] | [`mesh::MeshDriver`] | the whole step: one body, `MeshDriver::step_in`, and under it one Ehrenfest inner loop, both taking the domain communicator | `tests/mesh_dist.rs` |
 //!
 //! Each runs inside [`mlmd_parallel::comm::World::run`] with one
 //! communicator per domain ([`mlmd_parallel::hier::Hierarchy::build`]).
@@ -60,8 +61,9 @@
 //! No float sum is ever reordered, so trajectories at 2 and 4 ranks per
 //! domain match one rank **bit-for-bit** — no tolerances anywhere in the
 //! comparison suites. For MESH the one-rank case is the serial driver by
-//! construction; what the suite compares is the sharded-and-gathered
-//! inner loop against the monolithic [`ehrenfest::run_inner_loop`].
+//! construction and there is no second inner loop: the suite checks the
+//! one loop's invariance under the column partition, and golden digests
+//! in [`ehrenfest`] pin it to the per-step loop it replaced.
 
 pub mod checkpoint;
 pub mod dist;

@@ -275,10 +275,12 @@ impl MeshDriverBuilder {
         }
     }
 
-    /// Build the driver from an already-converged ground state. The
-    /// state's config hash must match this builder's
-    /// ([`Self::config_key`]) — seeding a driver with a foreign ground
-    /// state would silently break the bit-identity discipline.
+    /// Build the driver from an already-converged ground state — the one
+    /// place a [`MeshDriver`] is assembled, so warm- and cold-started
+    /// drivers are the same program. The state's config hash must match
+    /// this builder's ([`Self::config_key`]) — seeding a driver with a
+    /// foreign ground state would silently break the bit-identity
+    /// discipline.
     pub fn build_with(self, gs: GroundState) -> MeshDriver {
         let expected = self.config_key();
         assert_eq!(
@@ -287,19 +289,30 @@ impl MeshDriverBuilder {
              hash {expected:#018x}: grid/orbital-count/descent/geometry differ",
             gs.key
         );
-        let mut driver = MeshDriver::from_ground_state(
-            self.config,
-            gs,
-            self.occupations,
-            self.atoms,
-            self.ferro,
-            self.drive,
-            self.tracked_sites,
-            self.ledger,
-        );
-        driver.polarization_axis = self.polarization_axis;
-        driver.nn_term = self.nn_term;
-        driver
+        let GroundState { panel, vloc0, .. } = gs;
+        let psi0 = panel.clone();
+        let occupied0 = self
+            .occupations
+            .as_slice()
+            .iter()
+            .map(|&f| f > 0.0)
+            .collect();
+        MeshDriver {
+            config: self.config,
+            shadow: ShadowDomain::new(panel, self.occupations, &vloc0, self.ledger),
+            atoms: self.atoms,
+            ferro: self.ferro,
+            drive: self.drive,
+            polarization_axis: self.polarization_axis,
+            nn_term: self.nn_term,
+            psi0,
+            occupied0,
+            tracked_sites: self.tracked_sites,
+            last_vloc: vloc0,
+            time_fs: 0.0,
+            hopping: SurfaceHopping::new(self.config.sh_temperature, self.config.sh_rate),
+            last_eps: Vec::new(),
+        }
     }
 
     pub fn build(self) -> MeshDriver {
@@ -340,72 +353,6 @@ pub struct MeshDriver {
 }
 
 impl MeshDriver {
-    /// Assemble a driver. `tracked_sites` maps QXMD cells into the LFD
-    /// box; `vloc0` must be the potential the shadow domain was
-    /// initialized with.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        config: MeshConfig,
-        wf: WaveFunctions,
-        occupations: Occupations,
-        atoms: AtomsSystem,
-        ferro: FerroModel,
-        drive: impl Into<Drive>,
-        tracked_sites: Vec<(usize, AtomSite)>,
-        ledger: Arc<TransferLedger>,
-    ) -> Self {
-        let gs = compute_ground_state(&config, wf, &occupations, &tracked_sites, &ferro, &atoms);
-        Self::from_ground_state(
-            config,
-            gs,
-            occupations,
-            atoms,
-            ferro,
-            drive,
-            tracked_sites,
-            ledger,
-        )
-    }
-
-    /// Assemble a driver from an already-converged ground state (the warm
-    /// path). [`Self::new`] is exactly `compute_ground_state` followed by
-    /// this constructor, which is what makes a warm-started driver
-    /// bit-identical to a cold-started one.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_ground_state(
-        config: MeshConfig,
-        gs: GroundState,
-        occupations: Occupations,
-        atoms: AtomsSystem,
-        ferro: FerroModel,
-        drive: impl Into<Drive>,
-        tracked_sites: Vec<(usize, AtomSite)>,
-        ledger: Arc<TransferLedger>,
-    ) -> Self {
-        let GroundState { panel, vloc0, .. } = gs;
-        let psi0 = panel.clone();
-        let occupied0: Vec<bool> = (0..occupations.len())
-            .map(|s| occupations.f(s) > 0.0)
-            .collect();
-        let shadow = ShadowDomain::new(panel, occupations, &vloc0, ledger);
-        Self {
-            config,
-            shadow,
-            atoms,
-            ferro,
-            drive: drive.into(),
-            polarization_axis: Vec3::EZ,
-            nn_term: None,
-            psi0,
-            occupied0,
-            tracked_sites,
-            last_vloc: vloc0,
-            time_fs: 0.0,
-            hopping: SurfaceHopping::new(config.sh_temperature, config.sh_rate),
-            last_eps: Vec::new(),
-        }
-    }
-
     pub fn time_fs(&self) -> f64 {
         self.time_fs
     }
@@ -435,25 +382,27 @@ impl MeshDriver {
     /// distributed wrapper publishes in its world-level E/J exchange.
     ///
     /// `None` or a one-rank communicator is the whole panel on this rank:
-    /// the monolithic [`ShadowDomain::run_md_step`], band range
-    /// `0..norb`, no collective. With more ranks the kernels that read and
-    /// write a single orbital column run on this rank's
+    /// band range `0..norb`, no collective. With more ranks the kernels
+    /// that read and write a single orbital column run on this rank's
     /// `partition(norb, size, rank)` block and are allgathered in rank
     /// order, which *is* band order:
     ///
-    /// * **Ehrenfest propagation** — `ShadowDomain::run_md_step_sharded`:
-    ///   two allgathers (sub-panels, per-orbital current terms), folded
-    ///   identically on every rank;
+    /// * **Ehrenfest propagation** — [`ShadowDomain::run_md_step`], the one
+    ///   inner loop of [`crate::ehrenfest`]: two allgathers (sub-panels,
+    ///   per-orbital current terms), folded identically on every rank;
     /// * **excitation terms**, **band energies** — one allgather each.
     ///
     /// The kernels that couple orbitals or atoms — NACs, the hopping
     /// master equation, QXMD, the shadow handshake, the record — run
-    /// redundantly on the replicated state. So does the whole inner loop
-    /// under `EhrenfestConfig::self_consistent`, whose Hartree update
-    /// couples the orbitals every QD step. Every per-orbital value is
-    /// computed exactly as on one rank and folded in band order, so no
-    /// float sum is reordered and the trajectory is bit-identical at any
-    /// rank count (`tests/mesh_dist.rs`).
+    /// redundantly on the replicated state (as does the inner loop itself
+    /// under `EhrenfestConfig::self_consistent`, decided inside it). Every
+    /// per-orbital value is computed exactly as on one rank and folded in
+    /// band order, so no float sum is reordered and the trajectory is
+    /// bit-identical at any rank count (`tests/mesh_dist.rs`).
+    ///
+    /// The panel lives in the shadow domain for the whole step: the stages
+    /// borrow its device-side view, and the only copy is the pre-loop
+    /// snapshot the NACs difference against.
     pub(crate) fn step_in(&mut self, domain: Option<&Comm>) -> (MeshStepRecord, EhrenfestResult) {
         let cfg = self.config;
         let domain = domain.filter(|d| d.size() > 1);
@@ -466,15 +415,10 @@ impl MeshDriver {
         let drive = self.drive;
         let pol = self.polarization_axis;
         let field = move |t: f64| pol * drive.field(t);
-        let psi_before = self.shadow.download_wavefunctions_unmetered();
-        let inner = match domain {
-            Some(d) if !cfg.ehrenfest.self_consistent => {
-                self.shadow
-                    .run_md_step_sharded(d, field, t0_au, cfg.ehrenfest)
-            }
-            _ => self.shadow.run_md_step(field, t0_au, cfg.ehrenfest).1,
-        };
-        let psi_after = self.shadow.download_wavefunctions_unmetered();
+        let psi_before = self.shadow.wavefunctions().clone();
+        let (_, inner) = self.shadow.run_md_step(domain, field, t0_au, cfg.ehrenfest);
+        let psi_after = self.shadow.wavefunctions();
+        let grid = psi_after.grid;
         let norb = psi_after.norb;
         let cols = domain.map_or(0..norb, |d| partition(norb, d.size(), d.rank()));
         // --- 2. excitation measurement (fold of the per-state kernel) ---
@@ -485,7 +429,7 @@ impl MeshDriver {
                         &self.psi0,
                         &self.occupied0,
                         &self.shadow.occupations,
-                        &psi_after,
+                        psi_after,
                         s,
                     )
                 })
@@ -495,18 +439,8 @@ impl MeshDriver {
         // --- 3. surface hopping on the occupations (Û_SH of Eq. (2)): one
         //        explicit-Euler master-equation step ---
         let dt_md_au = units::fs_to_au(cfg.dt_md_fs);
-        let nac = NacMatrix::from_overlaps(
-            &psi_before.psi,
-            &psi_after.psi,
-            psi_after.grid.dv(),
-            dt_md_au,
-        );
-        let eps = gather(band_energy_columns(
-            &psi_after.grid,
-            &self.last_vloc,
-            &psi_after,
-            cols,
-        ));
+        let nac = NacMatrix::from_overlaps(&psi_before.psi, &psi_after.psi, grid.dv(), dt_md_au);
+        let eps = gather(band_energy_columns(&grid, &self.last_vloc, psi_after, cols));
         let mut f = self.shadow.occupations.as_slice().to_vec();
         self.hopping.step(&mut f, &eps, &nac, dt_md_au);
         self.shadow.set_occupations(&f);
@@ -522,7 +456,7 @@ impl MeshDriver {
         // --- 5. shadow handshake: Δv_loc from the moved atoms ---
         self.last_vloc = shadow_handshake(
             &mut self.shadow,
-            &psi_after.grid,
+            &grid,
             &self.tracked_sites,
             &self.ferro,
             &self.atoms,
@@ -768,61 +702,12 @@ fn make_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlmd_numerics::grid::Grid3;
-    use mlmd_qxmd::ferro::FerroParams;
-    use mlmd_qxmd::perovskite::PerovskiteLattice;
 
     /// The canonical MESH fixture (8³ grid, 8-state panel, 3×3×3 patch at
     /// the coupled minimum, resonant pulse) — shared with the `mesh_dist`
     /// integration suite and the `distributed_mesh` example.
     fn build_driver(e0: f64) -> MeshDriver {
         crate::fixture::small_mesh_driver(e0)
-    }
-
-    #[test]
-    fn builder_matches_direct_construction() {
-        // The fixture goes through `MeshDriverBuilder`; a driver assembled
-        // with the raw constructor from the same inputs must be
-        // bit-identical.
-        let mut built = build_driver(0.05);
-        let grid = Grid3::new(8, 8, 8, 0.5);
-        let p = FerroParams::pbtio3();
-        let u_star = ((3.0 * p.j_nn - p.a2) / (2.0 * p.a4)).sqrt();
-        let lat = PerovskiteLattice::uniform(3, 3, 3, Vec3::new(0.0, 0.0, u_star));
-        let mut direct = MeshDriver::new(
-            MeshConfig {
-                ehrenfest: EhrenfestConfig {
-                    dt_qd: 0.05,
-                    n_qd: 30,
-                    self_consistent: false,
-                },
-                exc_per_cell_scale: 30.0,
-                ..Default::default()
-            },
-            WaveFunctions::plane_waves(grid, 8),
-            Occupations::aufbau(8, 4.0),
-            lat.system.clone(),
-            FerroModel::new(&lat, p),
-            GaussianPulse::new(0.05, 0.8, 4.0, 2.0),
-            vec![(
-                0,
-                AtomSite {
-                    pos: Vec3::new(2.0, 2.0, 2.0),
-                    z_eff: 1.0,
-                    sigma: 0.8,
-                },
-            )],
-            Arc::new(TransferLedger::new()),
-        );
-        let rd = direct.run(3);
-        let rb = built.run(3);
-        for (a, b) in rd.iter().zip(&rb) {
-            assert_eq!(
-                a.n_exc.to_bits(),
-                b.n_exc.to_bits(),
-                "builder-made driver must be bit-identical to direct construction"
-            );
-        }
     }
 
     #[test]

@@ -27,6 +27,8 @@ use mlmd_numerics::grid::Grid3;
 use mlmd_numerics::matrix::Matrix;
 use mlmd_numerics::ortho;
 use mlmd_numerics::stencil::{laplacian, Order};
+use mlmd_parallel::comm::Comm;
+use mlmd_parallel::hier::partition;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
@@ -110,11 +112,10 @@ pub(crate) fn domain_residual(grid: &Grid3, vloc: &[f64], wf: &WaveFunctions) ->
 
 /// Subspace-Hamiltonian columns `H_ab = ⟨ψ_a|H|ψ_b⟩` for `b ∈ cols`,
 /// flattened column-major (`norb` entries per column, columns in `cols`
-/// order). Columns are independent, so the band tier of the DC-MESH
-/// hierarchy shards this call over ranks and concatenates the results
-/// ([`crate::dist::DistributedDcScf`]); every entry is computed exactly as
-/// in the serial path, so sharding is bit-identical.
-pub fn subspace_h_columns(
+/// order). Columns are independent, so [`local_solve`] shards this call
+/// over ranks and concatenates the results; every entry is computed
+/// exactly as in the serial path, so sharding is bit-identical.
+fn subspace_h_columns(
     grid: &Grid3,
     vloc: &[f64],
     wf: &WaveFunctions,
@@ -139,7 +140,7 @@ pub fn subspace_h_columns(
 /// Complete a Rayleigh–Ritz step from an assembled subspace Hamiltonian
 /// (flat column-major `norb × norb`): hermitize, diagonalize, and rotate
 /// the panel into the eigenbasis. Returns the subspace eigenvalues.
-pub fn finish_subspace_rotate(wf: &mut WaveFunctions, h_flat: Vec<c64>) -> Vec<f64> {
+fn finish_subspace_rotate(wf: &mut WaveFunctions, h_flat: Vec<c64>) -> Vec<f64> {
     let n = wf.norb;
     assert_eq!(h_flat.len(), n * n, "subspace Hamiltonian must be norb²");
     let h = Matrix::from_vec(n, n, h_flat);
@@ -164,7 +165,7 @@ pub fn subspace_rotate(grid: &Grid3, vloc: &[f64], wf: &mut WaveFunctions) -> Ve
 /// update reads and writes only that column, so the band tier shards this
 /// call over ranks bit-identically; callers must follow up with a panel
 /// sync plus [`orthonormalize_panel`].
-pub fn descend_columns(
+fn descend_columns(
     grid: &Grid3,
     vloc: &[f64],
     wf: &mut WaveFunctions,
@@ -190,9 +191,8 @@ pub fn descend_columns(
 
 /// Gram–Schmidt the panel and rescale to grid-measure normalization
 /// (`∫|ψ|² dV = 1`) — the sequential, orbital-coupling tail of a descent
-/// sweep. Runs redundantly on every rank of a domain group in the
-/// distributed driver.
-pub fn orthonormalize_panel(grid: &Grid3, wf: &mut WaveFunctions) {
+/// sweep. Runs redundantly on every rank of a domain group.
+fn orthonormalize_panel(grid: &Grid3, wf: &mut WaveFunctions) {
     ortho::gram_schmidt(&mut wf.psi);
     let scale = 1.0 / grid.dv().sqrt();
     for z in wf.psi.as_mut_slice() {
@@ -207,6 +207,44 @@ pub fn refine_orbitals(grid: &Grid3, vloc: &[f64], wf: &mut WaveFunctions, eta: 
         descend_columns(grid, vloc, wf, eta, 0..wf.norb);
         orthonormalize_panel(grid, wf);
     }
+}
+
+/// The local solve of one global–local SCF iteration — [`DESCENT_STEPS`]
+/// descent sweeps, then Rayleigh–Ritz — over the ranks of `domain`, each
+/// holding a replica of `wf`. Returns the subspace eigenvalues.
+///
+/// Each rank descends, and assembles the subspace-Hamiltonian columns of,
+/// its `partition(norb, size, rank)` block; the panel is allgathered
+/// before every Gram–Schmidt and the Hamiltonian before the rotation,
+/// both of which run redundantly. `None` (or one rank) is the whole panel
+/// with no collective — exactly [`refine_orbitals`] + [`subspace_rotate`].
+pub fn local_solve(
+    grid: &Grid3,
+    v_local: &[f64],
+    wf: &mut WaveFunctions,
+    domain: Option<&Comm>,
+) -> Vec<f64> {
+    let domain = domain.filter(|d| d.size() > 1);
+    let cols = domain.map_or(0..wf.norb, |d| partition(wf.norb, d.size(), d.rank()));
+    let ngrid = wf.ngrid();
+    for _ in 0..DESCENT_STEPS {
+        descend_columns(grid, v_local, wf, DESCENT_ETA, cols.clone());
+        if let Some(d) = domain {
+            // Contiguous column blocks in domain-rank order: the
+            // concatenation *is* the column-major panel.
+            let mine = wf.psi.as_slice()[cols.start * ngrid..cols.end * ngrid].to_vec();
+            wf.psi
+                .as_mut_slice()
+                .copy_from_slice(&d.allgather_vec(mine));
+        }
+        orthonormalize_panel(grid, wf);
+    }
+    let h_cols = subspace_h_columns(grid, v_local, wf, cols);
+    let h_flat = match domain {
+        Some(d) => d.allgather_vec(h_cols),
+        None => h_cols,
+    };
+    finish_subspace_rotate(wf, h_flat)
 }
 
 /// The DC-SCF driver state.
@@ -524,8 +562,7 @@ impl DcScf {
             .zip(self.orbitals.iter_mut().zip(&self.occupations))
         {
             let v_local = dom.restrict(&g, &self.v_global);
-            refine_orbitals(&dom.grid, &v_local, wf, DESCENT_ETA, DESCENT_STEPS);
-            let eps = subspace_rotate(&dom.grid, &v_local, wf);
+            let eps = local_solve(&dom.grid, &v_local, wf, None);
             total_band += eps
                 .iter()
                 .enumerate()
@@ -637,8 +674,10 @@ mod tests {
 
     #[test]
     fn refactored_kernel_steps_match_monolithic_refine() {
-        // `refine_orbitals` is now descend + sync-free orthonormalize; the
-        // split must be bit-identical to performing the steps inline.
+        // `refine_orbitals` is descend + sync-free orthonormalize; the
+        // split must be bit-identical to performing the steps inline, and
+        // `local_solve` on one rank to `refine_orbitals` + `subspace_rotate`
+        // (the pair `compute_ground_state` calls).
         let grid = Grid3::new(8, 8, 8, 0.5);
         let atoms = [AtomSite {
             pos: Vec3::new(2.0, 2.0, 2.0),
@@ -648,6 +687,12 @@ mod tests {
         let vloc = ionic_potential(&grid, &atoms);
         let mut a = WaveFunctions::random(grid, 3, 11);
         let mut b = a.clone();
+        let mut c = a.clone();
+        let mut d = a.clone();
+        refine_orbitals(&grid, &vloc, &mut c, DESCENT_ETA, DESCENT_STEPS);
+        let rc = subspace_rotate(&grid, &vloc, &mut c);
+        assert_eq!(rc, local_solve(&grid, &vloc, &mut d, None));
+        assert_eq!(c.psi.max_abs_diff(&d.psi), 0.0, "local_solve must be exact");
         refine_orbitals(&grid, &vloc, &mut a, 0.1, 2);
         for _ in 0..2 {
             descend_columns(&grid, &vloc, &mut b, 0.1, 0..1);

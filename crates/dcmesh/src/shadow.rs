@@ -8,41 +8,40 @@
 //! footprint of KS wave functions represented on many spatial grid
 //! points."
 //!
-//! [`ShadowDomain`] owns the GPU-resident wave-function state (a
-//! [`DeviceBuffer`]) and funnels *all* CPU↔GPU traffic through two calls:
+//! [`ShadowDomain`] owns the GPU-resident wave-function state and funnels
+//! *all* CPU↔GPU traffic through two calls:
 //!
 //! * [`ShadowDomain::push_delta_v`] — QXMD → LFD: the change in local
 //!   potential since the last MD step (H2D, `Ngrid` doubles);
 //! * [`ShadowDomain::run_md_step`] — N_QD device-side QD steps (zero
-//!   transfer), then LFD → QXMD: `Δf`, `n_exc`, and `J` (D2H, `Norb + 4`
-//!   doubles).
+//!   transfer; the one Ehrenfest inner loop, band-sharded over the domain
+//!   communicator when there is one), then LFD → QXMD: `Δf`, `n_exc`,
+//!   and `J` (D2H, `Norb + 4` doubles).
 //!
 //! The transfer ledger makes the amortization claim a unit-testable
 //! inequality: per MD step, bytes moved ≪ wave-function bytes, and
 //! wave-function bytes move exactly once (at initialization).
 
-use crate::ehrenfest::{
-    fold_inner_loop, propagate_columns, run_inner_loop, EhrenfestConfig, EhrenfestResult,
-};
+use crate::ehrenfest::{inner_loop_in, EhrenfestConfig, EhrenfestResult};
 use mlmd_lfd::occupation::Occupations;
 use mlmd_lfd::propagator::QdStep;
 use mlmd_lfd::wavefunction::WaveFunctions;
-use mlmd_numerics::complex::c64;
 use mlmd_numerics::vec3::Vec3;
 use mlmd_parallel::buffer::DeviceBuffer;
 use mlmd_parallel::comm::Comm;
 use mlmd_parallel::device::TransferLedger;
-use mlmd_parallel::hier::partition;
 use std::sync::Arc;
 
 /// Per-domain shadow-coupled LFD state.
 pub struct ShadowDomain {
-    /// GPU-resident wave functions (flattened complex panel).
-    device_psi: DeviceBuffer<c64>,
+    /// GPU-resident wave functions. Modeled device storage is host memory
+    /// (as in [`DeviceBuffer`]); it is held as a panel so device-side
+    /// kernels borrow it in place, and its two link crossings
+    /// ([`Self::new`], [`Self::download_wavefunctions`]) are recorded on
+    /// the ledger here.
+    device_psi: WaveFunctions,
     /// GPU-resident frozen potential.
     device_v: DeviceBuffer<f64>,
-    /// Host-side template (grid/norb bookkeeping; data lives on device).
-    wf_shape: WaveFunctions,
     pub occupations: Occupations,
     pub qd: QdStep,
     pub ledger: Arc<TransferLedger>,
@@ -69,12 +68,12 @@ impl ShadowDomain {
         ledger: Arc<TransferLedger>,
     ) -> Self {
         let qd = QdStep::new(wf.grid);
-        let device_psi = DeviceBuffer::from_host(wf.psi.as_slice(), Arc::clone(&ledger));
+        ledger.record_alloc(wf.bytes());
+        ledger.record_h2d(wf.bytes());
         let device_v = DeviceBuffer::from_host(vloc, Arc::clone(&ledger));
         Self {
-            device_psi,
+            device_psi: wf,
             device_v,
-            wf_shape: WaveFunctions::zeros(wf.grid, wf.norb),
             occupations,
             qd,
             ledger,
@@ -100,37 +99,39 @@ impl ShadowDomain {
         self.device_v.upload(&merged);
     }
 
-    /// Run one MD step's worth of device-side QD dynamics and return the
-    /// small-payload report (D2H of `Norb + 4` doubles, modeled).
+    /// Run one MD step's worth of device-side QD dynamics under the frozen
+    /// device potential (the incrementally-updated `device_v`) and return
+    /// the small-payload report (D2H of `Norb + 4` doubles, modeled).
+    ///
+    /// `domain` is the communicator of the ranks holding a replica of this
+    /// shadow domain: the loop is band-sharded over it and every replica
+    /// ends with the same panel, vector potential and report (see
+    /// [`crate::ehrenfest`]). `None` is this rank alone.
     pub fn run_md_step(
         &mut self,
+        domain: Option<&Comm>,
         field: impl Fn(f64) -> Vec3,
         t0: f64,
         cfg: EhrenfestConfig,
     ) -> (ShadowReport, EhrenfestResult) {
-        // Device-side compute: operate directly on the device buffers
-        // (no ledger traffic — this is `use_device_ptr` territory).
-        let mut wf = WaveFunctions::zeros(self.wf_shape.grid, self.wf_shape.norb);
-        wf.psi
-            .as_mut_slice()
-            .copy_from_slice(self.device_psi.device_slice());
-        let vloc = self.device_v.device_slice().to_vec();
-        let result = run_inner_loop(
+        // Device-side compute on the device state in place: no ledger
+        // traffic — this is `use_device_ptr` territory.
+        let result = inner_loop_in(
+            domain,
             &self.qd,
-            &mut wf,
+            &mut self.device_psi,
             &self.occupations,
-            &vloc,
+            self.device_v.device_slice(),
             self.a,
             field,
             t0,
             cfg,
         );
         self.a = result.a_final;
-        self.device_psi
-            .device_slice_mut()
-            .copy_from_slice(wf.psi.as_slice());
         // The report payload crosses the link: Δf (Norb) + n_exc + J (4).
-        self.record_report_payload();
+        let payload_len = self.occupations.len() + 4;
+        self.ledger
+            .record_d2h((payload_len * std::mem::size_of::<f64>()) as u64);
         let report = ShadowReport {
             delta_f: self.occupations.delta_f(),
             n_exc: self.occupations.n_exc(),
@@ -142,94 +143,25 @@ impl ShadowDomain {
 
     /// Update occupations from surface hopping (host side computes the
     /// hopping; the new f_s are part of the next step's device inputs but
-    /// are O(Norb) — accounted as an upload).
+    /// are O(Norb) — accounted as an upload). The t = 0 reference the
+    /// report's `Δf`/`n_exc` are measured against is kept.
     pub fn set_occupations(&mut self, f: &[f64]) {
         self.ledger.record_h2d(std::mem::size_of_val(f) as u64);
-        self.occupations = Occupations::new(f.to_vec());
+        self.occupations.set(f);
     }
 
     /// Read back the full wave functions (big D2H — only for analysis /
     /// checkpointing, never in the MD loop).
     pub fn download_wavefunctions(&self) -> WaveFunctions {
-        let data = self.device_psi.download();
-        let mut wf = WaveFunctions::zeros(self.wf_shape.grid, self.wf_shape.norb);
-        wf.psi.as_mut_slice().copy_from_slice(&data);
-        wf
+        self.ledger.record_d2h(self.psi_bytes());
+        self.device_psi.clone()
     }
 
     /// Device-side view of the wave functions for computations that run
     /// *on* the GPU in the paper (NAC overlaps, excitation projections,
     /// band energies) — no link traffic, like `use_device_ptr`.
-    pub fn download_wavefunctions_unmetered(&self) -> WaveFunctions {
-        let mut wf = WaveFunctions::zeros(self.wf_shape.grid, self.wf_shape.norb);
-        wf.psi
-            .as_mut_slice()
-            .copy_from_slice(self.device_psi.device_slice());
-        wf
-    }
-
-    /// [`Self::run_md_step`] band-sharded over the ranks of `domain`, each
-    /// holding a replica of this shadow domain: propagate this rank's
-    /// block of orbital columns under the frozen device potential (the
-    /// incrementally-updated `device_v`, not a freshly assembled v_loc),
-    /// allgather the sub-panels and per-orbital current terms, install
-    /// the reassembled panel device-side (no link traffic), and fold the
-    /// terms into the monolithic loop's result, bit for bit. Requires
-    /// `!cfg.self_consistent`: the Hartree update couples the columns.
-    pub(crate) fn run_md_step_sharded(
-        &mut self,
-        domain: &Comm,
-        field: impl Fn(f64) -> Vec3,
-        t0: f64,
-        cfg: EhrenfestConfig,
-    ) -> EhrenfestResult {
-        let grid = self.wf_shape.grid;
-        let norb = self.wf_shape.norb;
-        let ngrid = grid.len();
-        let cols = partition(norb, domain.size(), domain.rank());
-        let mut sub = WaveFunctions::zeros(grid, cols.len());
-        sub.psi
-            .as_mut_slice()
-            .copy_from_slice(&self.device_psi.device_slice()[cols.start * ngrid..cols.end * ngrid]);
-        let my_terms = propagate_columns(
-            &self.qd,
-            &mut sub,
-            &self.occupations,
-            cols.start,
-            self.device_v.device_slice(),
-            self.a,
-            &field,
-            t0,
-            cfg,
-        );
-        // Sub-panels are contiguous column blocks in domain-rank order, so
-        // the concatenation *is* the column-major panel; same for the
-        // owned-column-major current terms.
-        let panel = domain.allgather_vec(sub.psi.as_slice().to_vec());
-        let all_terms = domain.allgather_vec(my_terms);
-        self.device_psi.device_slice_mut().copy_from_slice(&panel);
-        let result = fold_inner_loop(
-            &all_terms,
-            norb,
-            &self.occupations,
-            &grid,
-            self.a,
-            &field,
-            t0,
-            cfg,
-        );
-        self.a = result.a_final;
-        // The same small report crosses the link as in `run_md_step`.
-        self.record_report_payload();
-        result
-    }
-
-    /// Ledger-account the per-MD-step D2H report payload
-    /// (`Norb + 4` doubles: Δf + n_exc + J).
-    fn record_report_payload(&self) {
-        let payload_len = self.occupations.len() + 4;
-        self.ledger
-            .record_d2h((payload_len * std::mem::size_of::<f64>()) as u64);
+    pub fn wavefunctions(&self) -> &WaveFunctions {
+        &self.device_psi
     }
 }
 
@@ -272,7 +204,7 @@ mod tests {
             let dv = vec![1e-4; 8 * 8 * 8];
             dom.push_delta_v(&dv);
             let t0 = step as f64 * 50.0 * 0.05;
-            dom.run_md_step(|_| Vec3::new(0.01, 0.0, 0.0), t0, cfg);
+            dom.run_md_step(None, |_| Vec3::new(0.01, 0.0, 0.0), t0, cfg);
         }
         // The central shadow-dynamics claim: per-MD-step traffic is far
         // below the wave-function footprint (here Δv dominates: Ngrid
@@ -296,7 +228,7 @@ mod tests {
             n_qd: 20,
             self_consistent: false,
         };
-        dom.run_md_step(|_| Vec3::new(0.02, 0.0, 0.0), 0.0, cfg);
+        dom.run_md_step(None, |_| Vec3::new(0.02, 0.0, 0.0), 0.0, cfg);
         let after = dom.download_wavefunctions();
         let diff = before.psi.max_abs_diff(&after.psi);
         assert!(diff > 1e-8, "device state must evolve, diff {diff}");
@@ -311,7 +243,7 @@ mod tests {
             n_qd: 5,
             self_consistent: false,
         };
-        let (report, _) = dom.run_md_step(|_| Vec3::ZERO, 0.0, cfg);
+        let (report, _) = dom.run_md_step(None, |_| Vec3::ZERO, 0.0, cfg);
         assert_eq!(report.delta_f.len(), 4);
         assert!(report.n_exc >= 0.0);
     }
@@ -326,6 +258,26 @@ mod tests {
     }
 
     #[test]
+    fn hop_installed_by_set_occupations_reaches_the_next_report() {
+        // The report measures Δf / n_exc against the t = 0 occupations,
+        // not against whatever the last hop installed.
+        let (mut dom, ledger) = setup();
+        let cfg = EhrenfestConfig {
+            dt_qd: 0.05,
+            n_qd: 5,
+            self_consistent: false,
+        };
+        let mut hopped = dom.occupations.clone(); // [2, 2, 0, 0]
+        hopped.transfer(1, 2, 0.5);
+        dom.set_occupations(hopped.as_slice());
+        ledger.reset();
+        let (report, _) = dom.run_md_step(None, |_| Vec3::ZERO, 0.0, cfg);
+        assert_eq!(report.delta_f, vec![0.0, -0.5, 0.5, 0.0]);
+        assert_eq!(report.n_exc, 0.5);
+        assert_eq!(ledger.d2h_bytes(), (4 + 4) * 8, "Norb + 4 doubles");
+    }
+
+    #[test]
     fn vector_potential_persists_across_md_steps() {
         let (mut dom, _) = setup();
         let cfg = EhrenfestConfig {
@@ -333,9 +285,9 @@ mod tests {
             n_qd: 10,
             self_consistent: false,
         };
-        dom.run_md_step(|_| Vec3::new(0.05, 0.0, 0.0), 0.0, cfg);
+        dom.run_md_step(None, |_| Vec3::new(0.05, 0.0, 0.0), 0.0, cfg);
         let a1 = dom.a;
-        dom.run_md_step(|_| Vec3::new(0.05, 0.0, 0.0), 0.5, cfg);
+        dom.run_md_step(None, |_| Vec3::new(0.05, 0.0, 0.0), 0.5, cfg);
         let a2 = dom.a;
         assert!(
             a2.x.abs() > a1.x.abs(),

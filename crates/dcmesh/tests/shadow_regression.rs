@@ -37,7 +37,7 @@ fn dark_shadow_dynamics_has_bounded_energy_drift() {
     let mut dom = domain(ledger);
     let mut total_absorbed = 0.0;
     for step in 0..5 {
-        let (report, result) = dom.run_md_step(|_t| Vec3::ZERO, step as f64, cfg());
+        let (report, result) = dom.run_md_step(None, |_t| Vec3::ZERO, step as f64, cfg());
         total_absorbed += result.absorbed_energy;
         assert!(
             report.n_exc.abs() < 1e-9,
@@ -52,7 +52,7 @@ fn dark_shadow_dynamics_has_bounded_energy_drift() {
         "zero-field energy drift: {total_absorbed}"
     );
     // The device-resident wave functions stay unitary through 100 QD steps.
-    let wf = dom.download_wavefunctions_unmetered();
+    let wf = dom.wavefunctions();
     assert!(wf.norm_error() < 1e-9, "norm error {}", wf.norm_error());
 }
 
@@ -64,13 +64,10 @@ fn driven_shadow_dynamics_is_seed_deterministic() {
         let field = |t: f64| Vec3::new(0.02 * (0.8 * t).cos(), 0.0, 0.0);
         let mut absorbed = 0.0;
         for step in 0..3 {
-            let (_, result) = dom.run_md_step(field, step as f64, cfg());
+            let (_, result) = dom.run_md_step(None, field, step as f64, cfg());
             absorbed += result.absorbed_energy;
         }
-        (
-            absorbed,
-            dom.download_wavefunctions_unmetered().norm_error(),
-        )
+        (absorbed, dom.wavefunctions().norm_error())
     };
     let a = run();
     let b = run();
@@ -85,7 +82,7 @@ fn md_step_report_payload_is_occupations_sized() {
     let mut dom = domain(Arc::clone(&ledger));
     let norb = dom.occupations.len();
     let before = ledger.d2h_bytes();
-    let (report, _) = dom.run_md_step(|_t| Vec3::ZERO, 0.0, cfg());
+    let (report, _) = dom.run_md_step(None, |_t| Vec3::ZERO, 0.0, cfg());
     let per_step = ledger.d2h_bytes() - before;
     // The D2H payload is Delta-f (norb doubles) + n_exc + J (4 doubles) —
     // the O(occupations) transfer claim of the paper, byte-exact.

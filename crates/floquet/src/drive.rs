@@ -5,9 +5,7 @@
 //! this crate); this module re-exports them as the Floquet vocabulary
 //! and adds the period/harmonic helpers the spectral layer is built on.
 
-pub use mlmd_maxwell::source::{
-    ChirpedPulse, CwDrive, Drive, DriveSource, GaussianPulse, PulseTrain,
-};
+pub use mlmd_maxwell::source::{ChirpedPulse, CwDrive, Drive, GaussianPulse, PulseTrain};
 
 /// Drive period `T = 2π/ω₀`.
 pub fn drive_period(omega0: f64) -> f64 {

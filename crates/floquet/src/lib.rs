@@ -11,7 +11,7 @@
 //!
 //! * [`drive`] — the periodic/shaped drive sources ([`drive::CwDrive`],
 //!   [`drive::ChirpedPulse`], [`drive::PulseTrain`], unified with
-//!   [`drive::GaussianPulse`] under [`drive::DriveSource`]; re-exported
+//!   [`drive::GaussianPulse`] under the [`drive::Drive`] enum; re-exported
 //!   from `mlmd_maxwell::source`, where the steppers consume them) plus
 //!   Floquet bookkeeping helpers (period, harmonic ladder).
 //! * [`spectral`] — [`spectral::FloquetObserver`], a streaming windowed
@@ -30,6 +30,6 @@ pub mod drive;
 pub mod spectral;
 pub mod sweep;
 
-pub use drive::{ChirpedPulse, CwDrive, Drive, DriveSource, GaussianPulse, PulseTrain};
+pub use drive::{ChirpedPulse, CwDrive, Drive, GaussianPulse, PulseTrain};
 pub use spectral::{FloquetObserver, FloquetSpectrum, HarmonicBin, Window};
 pub use sweep::{DimerConfig, SuperlatticeSweep, SweepPoint};

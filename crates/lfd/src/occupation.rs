@@ -19,10 +19,7 @@ pub struct Occupations {
 impl Occupations {
     /// From explicit values (reference = initial values).
     pub fn new(f: Vec<f64>) -> Self {
-        assert!(
-            f.iter().all(|&x| (0.0..=2.0).contains(&x)),
-            "occupations must lie in [0, 2]"
-        );
+        assert_in_range(&f);
         let f0 = f.clone();
         Self { f, f0 }
     }
@@ -64,6 +61,15 @@ impl Occupations {
 
     pub fn as_slice(&self) -> &[f64] {
         &self.f
+    }
+
+    /// Replace the occupations with `f`, keeping the ground-state
+    /// reference — how a surface-hopping update is installed, so
+    /// [`Self::n_exc`] / [`Self::delta_f`] keep measuring from t = 0.
+    pub fn set(&mut self, f: &[f64]) {
+        assert_eq!(f.len(), self.f.len());
+        assert_in_range(f);
+        self.f.copy_from_slice(f);
     }
 
     /// Total electron count Σf_s.
@@ -111,6 +117,13 @@ impl Occupations {
             *x = (*x + d).clamp(0.0, 2.0);
         }
     }
+}
+
+fn assert_in_range(f: &[f64]) {
+    assert!(
+        f.iter().all(|&x| (0.0..=2.0).contains(&x)),
+        "occupations must lie in [0, 2]"
+    );
 }
 
 #[cfg(test)]

@@ -3,34 +3,14 @@
 //! The paper's Fig. 3 workflow drives the skyrmion superlattice with a
 //! femtosecond pulse; [`GaussianPulse`] is that drive. The Floquet
 //! workload layer (`mlmd-floquet`) additionally needs periodic and
-//! shaped drives, so every source implements the [`DriveSource`] trait
-//! and the closed [`Drive`] enum carries any of them through the
-//! steppers ([`crate::driver::PulsedYee`], `MeshDriver`, …) without
+//! shaped drives; the closed [`Drive`] enum carries any of them through
+//! the steppers ([`crate::driver::PulsedYee`], `MeshDriver`, …) without
 //! making the steppers generic. All quantities in atomic units (see
 //! [`crate::units`]).
-
-/// A scalar time-dependent drive field `E(t)`.
-///
-/// The contract every source upholds:
-///
-/// * [`field`](DriveSource::field) is deterministic and pure — steppers
-///   may re-evaluate it freely without changing a trajectory.
-/// * [`end_time`](DriveSource::end_time) is a time after which the field
-///   is negligible (`f64::INFINITY` for drives that never switch off,
-///   e.g. [`CwDrive`]).
-/// * [`carrier_omega`](DriveSource::carrier_omega) is the nominal
-///   carrier angular frequency — the fundamental `ω₀` a Floquet
-///   analysis bins harmonics against.
-pub trait DriveSource {
-    /// Field value at time `t`.
-    fn field(&self, t: f64) -> f64;
-
-    /// A time after which the drive is negligible (`INFINITY` if never).
-    fn end_time(&self) -> f64;
-
-    /// Nominal carrier angular frequency (a.u.).
-    fn carrier_omega(&self) -> f64;
-}
+//!
+//! The contract every source upholds: `field(t)` is deterministic and
+//! pure — steppers may re-evaluate it freely without changing a
+//! trajectory.
 
 /// `E(t) = E₀ · exp(−(t−t₀)²/2σ²) · cos(ω(t−t₀) + φ)`
 #[derive(Clone, Copy, Debug)]
@@ -109,20 +89,6 @@ impl GaussianPulse {
     }
 }
 
-impl DriveSource for GaussianPulse {
-    fn field(&self, t: f64) -> f64 {
-        GaussianPulse::field(self, t)
-    }
-
-    fn end_time(&self) -> f64 {
-        GaussianPulse::end_time(self)
-    }
-
-    fn carrier_omega(&self) -> f64 {
-        self.omega
-    }
-}
-
 /// Continuous-wave drive `E(t) = E₀ · r(t) · cos(ωt + φ)` with a smooth
 /// half-cosine turn-on ramp `r(t)` over `[0, ramp_time]` (instant-on
 /// when `ramp_time == 0`). The periodic steady state after the ramp is
@@ -172,19 +138,10 @@ impl CwDrive {
     pub fn period(&self) -> f64 {
         2.0 * std::f64::consts::PI / self.omega
     }
-}
 
-impl DriveSource for CwDrive {
-    fn field(&self, t: f64) -> f64 {
+    /// Field value at time `t`.
+    pub fn field(&self, t: f64) -> f64 {
         self.e0 * self.ramp(t) * (self.omega * t + self.phase).cos()
-    }
-
-    fn end_time(&self) -> f64 {
-        f64::INFINITY
-    }
-
-    fn carrier_omega(&self) -> f64 {
-        self.omega
     }
 }
 
@@ -241,20 +198,16 @@ impl ChirpedPulse {
     pub fn instantaneous_omega(&self, t: f64) -> f64 {
         self.omega + 2.0 * self.chirp * (t - self.t0)
     }
-}
 
-impl DriveSource for ChirpedPulse {
-    fn field(&self, t: f64) -> f64 {
+    /// Field value at time `t`.
+    pub fn field(&self, t: f64) -> f64 {
         let tau = t - self.t0;
         self.e0 * self.envelope(t) * (self.omega * tau + self.chirp * tau * tau + self.phase).cos()
     }
 
-    fn end_time(&self) -> f64 {
+    /// A time after which the pulse is negligible.
+    pub fn end_time(&self) -> f64 {
         self.t0 + 6.0 * self.sigma
-    }
-
-    fn carrier_omega(&self) -> f64 {
-        self.omega
     }
 }
 
@@ -291,10 +244,9 @@ impl PulseTrain {
     pub fn repetition_omega(&self) -> f64 {
         2.0 * std::f64::consts::PI / self.spacing
     }
-}
 
-impl DriveSource for PulseTrain {
-    fn field(&self, t: f64) -> f64 {
+    /// Field value at time `t`.
+    pub fn field(&self, t: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -308,12 +260,9 @@ impl DriveSource for PulseTrain {
         acc
     }
 
-    fn end_time(&self) -> f64 {
+    /// A time after which the last pulse is negligible.
+    pub fn end_time(&self) -> f64 {
         self.base.end_time() + self.count.saturating_sub(1) as f64 * self.spacing
-    }
-
-    fn carrier_omega(&self) -> f64 {
-        self.base.omega
     }
 }
 
@@ -329,8 +278,9 @@ pub enum Drive {
     Train(PulseTrain),
 }
 
-impl DriveSource for Drive {
-    fn field(&self, t: f64) -> f64 {
+impl Drive {
+    /// Field value at time `t`.
+    pub fn field(&self, t: f64) -> f64 {
         match self {
             Drive::Gaussian(p) => p.field(t),
             Drive::Cw(d) => d.field(t),
@@ -339,40 +289,26 @@ impl DriveSource for Drive {
         }
     }
 
-    fn end_time(&self) -> f64 {
+    /// A time after which the drive is negligible (`f64::INFINITY` for
+    /// drives that never switch off, e.g. [`CwDrive`]).
+    pub fn end_time(&self) -> f64 {
         match self {
-            Drive::Gaussian(p) => GaussianPulse::end_time(p),
-            Drive::Cw(d) => DriveSource::end_time(d),
-            Drive::Chirped(p) => DriveSource::end_time(p),
-            Drive::Train(p) => DriveSource::end_time(p),
+            Drive::Gaussian(p) => p.end_time(),
+            Drive::Cw(_) => f64::INFINITY,
+            Drive::Chirped(p) => p.end_time(),
+            Drive::Train(p) => p.end_time(),
         }
     }
 
-    fn carrier_omega(&self) -> f64 {
+    /// Nominal carrier angular frequency (a.u.) — the fundamental `ω₀` a
+    /// Floquet analysis bins harmonics against.
+    pub fn carrier_omega(&self) -> f64 {
         match self {
             Drive::Gaussian(p) => p.omega,
             Drive::Cw(d) => d.omega,
             Drive::Chirped(p) => p.omega,
             Drive::Train(p) => p.base.omega,
         }
-    }
-}
-
-impl Drive {
-    /// Field value at time `t` (inherent mirror of the trait method, so
-    /// callers don't need `DriveSource` in scope).
-    pub fn field(&self, t: f64) -> f64 {
-        DriveSource::field(self, t)
-    }
-
-    /// A time after which the drive is negligible.
-    pub fn end_time(&self) -> f64 {
-        DriveSource::end_time(self)
-    }
-
-    /// Nominal carrier angular frequency.
-    pub fn carrier_omega(&self) -> f64 {
-        DriveSource::carrier_omega(self)
     }
 
     /// The Gaussian pulse inside, if this is a plain Gaussian drive.
@@ -503,7 +439,7 @@ mod tests {
         let t = 400.0;
         let period = d.period();
         assert!((d.field(t) - d.field(t + period)).abs() < 1e-9);
-        assert_eq!(DriveSource::end_time(&d), f64::INFINITY);
+        assert_eq!(Drive::from(d).end_time(), f64::INFINITY);
     }
 
     #[test]

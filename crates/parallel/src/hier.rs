@@ -6,9 +6,9 @@
 //! space among ranks, depending on a specific computational task."
 //!
 //! [`Hierarchy::build`] splits a world communicator into per-domain
-//! communicators and derives band- and space-communicators within each
-//! domain; [`Hierarchy::band_range`] / [`Hierarchy::space_range`] describe
-//! which orbitals / grid slabs a rank owns under each decomposition.
+//! communicators; [`Hierarchy::band_range`] (a [`partition`] over the
+//! domain's ranks) describes which orbitals a rank owns under the band
+//! decomposition.
 
 use crate::comm::Comm;
 
@@ -57,28 +57,6 @@ impl Hierarchy {
     /// orbital range this rank owns within its domain.
     pub fn band_range(&self, n_orbitals: usize) -> std::ops::Range<usize> {
         partition(n_orbitals, self.domain.size(), self.domain.rank())
-    }
-
-    /// Space decomposition for a task over `n_grid` points: the contiguous
-    /// grid-slab range this rank owns within its domain.
-    pub fn space_range(&self, n_grid: usize) -> std::ops::Range<usize> {
-        partition(n_grid, self.domain.size(), self.domain.rank())
-    }
-
-    /// Communicator of one representative rank per domain (domain-rank 0),
-    /// used for the end-of-step excitation gather (Sec. V.A.8). Returns
-    /// `Some(comm)` on domain roots, `None` elsewhere. Collective over
-    /// world.
-    pub fn domain_roots(&self) -> Option<Comm> {
-        let is_root = self.domain.rank() == 0;
-        let comm = self
-            .world
-            .split(if is_root { 0 } else { 1 }, self.world.rank() as u64);
-        if is_root {
-            Some(comm)
-        } else {
-            None
-        }
     }
 }
 
@@ -132,42 +110,5 @@ mod tests {
         assert_eq!(out[1], (0, 2, 1));
         assert_eq!(out[6], (3, 2, 0));
         assert_eq!(out[7], (3, 2, 1));
-    }
-
-    #[test]
-    fn band_and_space_ranges_partition_work() {
-        let out = World::run(6, |world| {
-            let h = Hierarchy::build(world, 2);
-            let band = h.band_range(64);
-            let space = h.space_range(1000);
-            (band.len(), space.len())
-        });
-        // 3 ranks per domain: 64 orbitals → 22/21/21, 1000 points → 334/333/333.
-        let bands: usize = out.iter().take(3).map(|(b, _)| b).sum();
-        let spaces: usize = out.iter().take(3).map(|(_, s)| s).sum();
-        assert_eq!(bands, 64);
-        assert_eq!(spaces, 1000);
-    }
-
-    #[test]
-    fn domain_roots_form_inter_domain_comm() {
-        let out = World::run(6, |world| {
-            let h = Hierarchy::build(world, 3);
-            match h.domain_roots() {
-                Some(roots) => {
-                    // One root per domain: 3 roots exchanging excitation counts.
-                    let n_exc = h.domain_index as f64 + 1.0;
-                    let total = roots.allreduce_sum(n_exc);
-                    Some((roots.size(), total))
-                }
-                None => None,
-            }
-        });
-        let roots: Vec<_> = out.iter().flatten().collect();
-        assert_eq!(roots.len(), 3);
-        for &&(size, total) in &roots {
-            assert_eq!(size, 3);
-            assert_eq!(total, 6.0);
-        }
     }
 }

@@ -70,39 +70,30 @@ proptest! {
     }
 
     #[test]
-    fn band_space_ranges_tile_each_domain_under_split(
+    fn band_ranges_tile_each_domain_under_split(
         domains in 1usize..4,
         per in 1usize..4,
         norb in 0usize..37,
-        ngrid in 0usize..401,
     ) {
         // `Hierarchy::build` composes `Comm::split` with `partition`; for
-        // any orbital / grid count — divisible or not — the band and space
-        // ranges of a domain's ranks must tile 0..n contiguously, in
-        // domain-rank order, with no overlap.
+        // any orbital count — divisible or not — the band ranges of a
+        // domain's ranks must tile 0..norb contiguously, in domain-rank
+        // order, with no overlap.
         let n = domains * per;
         let out = World::run(n, move |world| {
             let h = Hierarchy::build(world, domains);
-            (
-                h.domain_index,
-                h.domain.rank(),
-                h.band_range(norb),
-                h.space_range(ngrid),
-            )
+            (h.domain_index, h.domain.rank(), h.band_range(norb))
         });
         for d in 0..domains {
             let mut ranks: Vec<_> = out.iter().filter(|(di, ..)| *di == d).collect();
-            ranks.sort_by_key(|(_, r, ..)| *r);
+            ranks.sort_by_key(|(_, r, _)| *r);
             prop_assert_eq!(ranks.len(), per);
-            for (n_items, pick) in [(norb, 0usize), (ngrid, 1)] {
-                let mut cursor = 0;
-                for (_, _, band, space) in &ranks {
-                    let r = if pick == 0 { band } else { space };
-                    prop_assert_eq!(r.start, cursor, "gap or overlap in domain {}", d);
-                    cursor = r.end;
-                }
-                prop_assert_eq!(cursor, n_items, "domain {} must cover all items", d);
+            let mut cursor = 0;
+            for (_, _, band) in &ranks {
+                prop_assert_eq!(band.start, cursor, "gap or overlap in domain {}", d);
+                cursor = band.end;
             }
+            prop_assert_eq!(cursor, norb, "domain {} must cover all orbitals", d);
         }
     }
 

@@ -2,7 +2,7 @@
 //! hold through a full MESH loop, measured on the byte ledger.
 
 use mlmd::dcmesh::ehrenfest::EhrenfestConfig;
-use mlmd::dcmesh::mesh::{MeshConfig, MeshDriver};
+use mlmd::dcmesh::mesh::{MeshConfig, MeshDriver, MeshDriverBuilder};
 use mlmd::lfd::occupation::Occupations;
 use mlmd::lfd::potential::AtomSite;
 use mlmd::lfd::wavefunction::WaveFunctions;
@@ -36,16 +36,12 @@ fn driver(ledger: Arc<TransferLedger>) -> MeshDriver {
         },
         ..Default::default()
     };
-    MeshDriver::new(
-        cfg,
-        wf,
-        occ,
-        lat.system.clone(),
-        ferro,
-        pulse,
-        vec![(0, site)],
-        ledger,
-    )
+    MeshDriverBuilder::new(wf, occ, lat.system.clone(), ferro)
+        .config(cfg)
+        .pulse(pulse)
+        .track_site(0, site)
+        .ledger(ledger)
+        .build()
 }
 
 #[test]
