@@ -1,7 +1,7 @@
 //! # mlmd-bench — the measurement harness
 //!
-//! Regenerates every table and figure of the paper's evaluation
-//! (see DESIGN.md §3 for the experiment index):
+//! Regenerates every table and figure of the paper's evaluation; this
+//! table is the experiment index:
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -18,7 +18,9 @@
 //! and GFLOP/s — the paper's *shape* (who wins, by what factor) is the
 //! reproduction target, not Aurora's absolute TFLOP/s. Model-projected
 //! numbers (Tables I–II, Figs. 4–5) come from `mlmd-exasim` and are
-//! deterministic.
+//! deterministic. The host-timing gates (blocked vs naive GEMM, Floquet
+//! observer overhead, the Table III ladder) are `tests/host_gates.rs`,
+//! asserted in release builds; regression numbers live in `benchmark/`.
 
 pub mod hostinfo;
 pub mod tables;

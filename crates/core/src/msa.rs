@@ -9,54 +9,9 @@
 //!
 //! | MSA | axis | payload | implemented by |
 //! |---|---|---|---|
-//! | 1 (shadow dynamics) | time | `Δf_s`, `Δv_loc` | [`ShadowHandshake`] / `mlmd-dcmesh::shadow` |
-//! | 2 (TEA) | dataset | per-dataset `(scale, shift)` | [`tea_unify`] / `mlmd-nnqmd::tea` |
-//! | 3 (XN/NN) | space | `n_exc^(α)` → mixing weight `w` | [`XnNnCoupling`] / `mlmd-nnqmd::mix` |
-
-use mlmd_nnqmd::tea::{self, TeaMap};
-use mlmd_nnqmd::train::Dataset;
-
-/// MSA-1: the shadow-dynamics payload description. The actual transfers
-/// happen in `mlmd-dcmesh::shadow`; this struct documents and sizes them.
-#[derive(Clone, Copy, Debug)]
-pub struct ShadowHandshake {
-    pub norb: usize,
-    pub ngrid: usize,
-}
-
-impl ShadowHandshake {
-    /// Bytes per MD step crossing CPU→GPU (Δv) and GPU→CPU (Δf + n_exc + J).
-    pub fn bytes_per_md_step(&self) -> (u64, u64) {
-        let down = 8 * self.ngrid as u64;
-        let up = 8 * (self.norb as u64 + 4);
-        (down, up)
-    }
-
-    /// The footprint that *stays* on the device (what shadow dynamics
-    /// avoids moving): the complex wave-function panel.
-    pub fn resident_bytes(&self) -> u64 {
-        16 * self.ngrid as u64 * self.norb as u64
-    }
-
-    /// Amortization ratio over `n_qd` steps: naive (ship ψ every QD step)
-    /// vs shadow traffic.
-    pub fn amortization(&self, n_qd: usize) -> f64 {
-        let naive = 2 * self.resident_bytes() * n_qd as u64;
-        let (down, up) = self.bytes_per_md_step();
-        naive as f64 / (down + up) as f64
-    }
-}
-
-/// MSA-2: unify multi-fidelity datasets by total-energy alignment.
-/// Thin re-export of `mlmd-nnqmd::tea` at the orchestration level.
-pub fn tea_unify(datasets: &[Dataset], overlaps: &[Vec<(f64, f64)>]) -> Dataset {
-    tea::unify(datasets, overlaps)
-}
-
-/// Fit one TEA map.
-pub fn tea_fit(foreign: &[f64], reference: &[f64]) -> TeaMap {
-    tea::fit(foreign, reference)
-}
+//! | 1 (shadow dynamics) | time | `Δf_s`, `Δv_loc` | [`mlmd_dcmesh::shadow`] |
+//! | 2 (TEA) | dataset | per-dataset `(scale, shift)` | [`mlmd_nnqmd::tea`] |
+//! | 3 (XN/NN) | space | `n_exc^(α)` → mixing weight `w` | [`XnNnCoupling`] / [`mlmd_nnqmd::mix`] |
 
 /// MSA-3: XN/NN coupling — the excitation count from DC-MESH
 /// (high-fidelity, small region) extrapolated to the NNQMD mixing weight
@@ -91,20 +46,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn shadow_payload_is_tiny() {
-        // The paper's production domain: 1,024 orbitals on 70×70×72.
-        let h = ShadowHandshake {
-            norb: 1024,
-            ngrid: 70 * 70 * 72,
-        };
-        let (down, up) = h.bytes_per_md_step();
-        assert!(up < 10_000, "Δf payload is O(Norb): {up} B");
-        assert!(down < h.resident_bytes() / 100, "Δv ≪ ψ footprint");
-        // Amortized over 1,000 QD steps, shadow wins by > 10⁵.
-        assert!(h.amortization(1000) > 1e5);
-    }
-
-    #[test]
     fn xn_nn_weight_saturates() {
         let c = XnNnCoupling {
             domain_electrons: 128.0,
@@ -116,13 +57,5 @@ mod tests {
         assert_eq!(c.mixing_weight(1e9), 1.0);
         // Monotone.
         assert!(c.mixing_weight(2.0) > c.mixing_weight(1.0));
-    }
-
-    #[test]
-    fn tea_reexport_works() {
-        let f = [1.0, 2.0, 3.0];
-        let r = [2.0, 4.0, 6.0];
-        let map = tea_fit(&f, &r);
-        assert!((map.scale - 2.0).abs() < 1e-12);
     }
 }

@@ -178,8 +178,8 @@ impl Pipeline {
     /// assembled through [`MeshDriverBuilder`]. The QM patch starts at the
     /// *coupled* ferroelectric minimum u* = √((3J−a₂)/2a₄), so with no
     /// pulse the atoms are force-free and the electronic state is
-    /// stationary. Public so tests, benches, and sweeps can engine-drive
-    /// the same driver the pipeline measures.
+    /// stationary. Public so tests, the benchmark, and sweeps can
+    /// engine-drive the same driver the pipeline measures.
     pub fn mesh_stage(&self, e0: f64) -> MeshDriver {
         self.mesh_stage_builder(e0).build()
     }

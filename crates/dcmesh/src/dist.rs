@@ -251,7 +251,7 @@ impl DistributedDcScf {
 
 /// Convenience oracle harness: run the distributed driver on
 /// `ranks_per_domain × n_domains` ranks and return rank 0's history —
-/// the exact shape the integration suite and benches compare against a
+/// the exact shape the integration suite and examples compare against a
 /// serial [`crate::scf::DcScf::converge`] run.
 #[allow(clippy::too_many_arguments)] // mirrors DcScf::new + converge in one call
 pub fn run_distributed(

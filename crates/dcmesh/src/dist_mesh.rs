@@ -144,7 +144,7 @@ impl DistributedMeshDriver {
 /// Convenience oracle harness: run the distributed driver on
 /// `ranks_per_domain × n_domains` ranks for `n_steps` MD steps and return
 /// each domain root's trajectory, in domain order — the exact shape the
-/// integration suite and benches compare against serial
+/// integration suite and examples compare against serial
 /// [`MeshDriver::run`] calls.
 pub fn run_distributed_mesh<F>(
     n_domains: usize,

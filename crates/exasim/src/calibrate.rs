@@ -127,7 +127,7 @@ impl Default for CalibrationConfig {
 }
 
 impl CalibrationConfig {
-    /// A cheaper profile for tests and bench smokes: fewer rounds and
+    /// A cheaper profile for tests and the benchmark: fewer rounds and
     /// steps, same structure.
     pub fn quick() -> Self {
         Self {

@@ -1,7 +1,7 @@
 //! # mlmd-exasim — the simulated exascale substrate
 //!
 //! The paper's scaling experiments ran on 10,000 Aurora nodes (120,000
-//! PVC tiles). This crate is the documented substitution (DESIGN.md): a
+//! PVC tiles). This crate substitutes for that hardware: a
 //! deterministic analytic cost model of the MLMD workloads on an
 //! Aurora-like machine, built from
 //!

@@ -4,8 +4,8 @@
 //! only a local potential with the right qualitative behaviour (attractive,
 //! density-dependent, sub-linear). Slater exchange
 //! `v_x(ρ) = −(3ρ/π)^{1/3}` and `ε_x(ρ) = −(3/4)(3/π)^{1/3} ρ^{1/3}`
-//! is the standard choice and is exactly what the substitution table in
-//! DESIGN.md records.
+//! is the standard choice, and the substitution this proxy makes for
+//! the paper's functionals.
 
 /// Exchange potential `v_x(ρ)` per grid point.
 pub fn vx_lda(rho: &[f64], out: &mut [f64]) {

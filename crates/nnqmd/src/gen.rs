@@ -1,7 +1,7 @@
 //! Synthetic NAQMD training-data generation.
 //!
 //! The paper trains on first-principles NAQMD data; our reference theory
-//! is the QXMD effective model (see the DESIGN.md substitution table).
+//! is the QXMD effective model, which stands in for it.
 //! Frames are perovskite supercells with thermal-like random displacements
 //! and random polar textures, labeled with the energies and forces of a
 //! [`mlmd_qxmd::ferro::FerroModel`] at a given excitation level — so a

@@ -333,6 +333,42 @@ mod tests {
     }
 
     #[test]
+    fn bf16_envelope_holds_on_the_perovskite_fixture() {
+        // The documented envelope on the canonical 3×3×3 perovskite patch
+        // (the proptests below cover random networks and configurations).
+        use mlmd_qxmd::perovskite::PerovskiteLattice;
+        let model = AllegroLite::new(
+            ModelConfig {
+                hidden: 8,
+                k_max: 5,
+                rcut: 4.0,
+            },
+            1,
+        );
+        let sys = PerovskiteLattice::uniform(3, 3, 3, Vec3::new(0.0, 0.0, 0.2)).system;
+        let (sp, ps, bl) = (&sys.species, &sys.positions, sys.box_lengths);
+        let reference = block_evaluate(&model, sp, ps, bl, 2);
+        let quant = evaluate_bf16(&QuantizedModel::from_model(&model), sp, ps, bl, 2);
+        let fmax = reference
+            .forces
+            .iter()
+            .map(|f| f.norm())
+            .fold(0.0, f64::max);
+        let ferr = (quant.forces.iter().zip(&reference.forces))
+            .map(|(a, b)| (*a - *b).norm())
+            .fold(0.0, f64::max);
+        assert!(
+            ferr <= BF16_FORCE_RTOL * fmax + BF16_FORCE_ATOL,
+            "force error {ferr:.3e} (fmax {fmax:.3e})"
+        );
+        let eerr = (quant.energy - reference.energy).abs() / sp.len() as f64;
+        assert!(
+            eerr <= BF16_ENERGY_ATOL_PER_ATOM,
+            "energy error/atom {eerr:.3e}"
+        );
+    }
+
+    #[test]
     fn blocked_matches_monolithic() {
         let (model, sp, ps, bl) = setup(40);
         let reference = model.evaluate(&sp, &ps, bl);

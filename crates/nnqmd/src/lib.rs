@@ -38,7 +38,8 @@
 //!   `mlmd_qxmd`'s `MdStage` (the width-1 MD loop), serial or over
 //!   simulated-MPI ranks.
 //! * **Training-data generation** ([`gen`]): synthetic "NAQMD" reference
-//!   frames labeled by the QXMD effective model (see DESIGN.md).
+//!   frames labeled by the QXMD effective model, which stands in for
+//!   first-principles NAQMD.
 
 pub mod basis;
 pub mod batch;

@@ -4,11 +4,12 @@
 //! and the electron–atom coupling machinery (nonadiabatic couplings and
 //! surface hopping) that drives longer-time structural response.
 //!
-//! The PbTiO3 substrate is an *effective ferroelectric lattice model*
-//! (see DESIGN.md substitution table): Buckingham short-range repulsion
-//! between all atoms plus a double-well energy on the Ti off-centering
-//! vector `u` with ferroelectric nearest-neighbour coupling — the minimal
-//! Hamiltonian that hosts polar topological textures. Photoexcitation
+//! The PbTiO3 substrate is an *effective ferroelectric lattice model*,
+//! standing in for first-principles QXMD forces: Buckingham short-range
+//! repulsion between all atoms plus a double-well energy on the Ti
+//! off-centering vector `u` with ferroelectric nearest-neighbour
+//! coupling — the minimal Hamiltonian that hosts polar topological
+//! textures. Photoexcitation
 //! flattens the double well proportionally to the excitation density
 //! (the mechanism established in ref \[11\]), which is what makes
 //! light-induced switching possible.

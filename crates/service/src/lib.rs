@@ -33,10 +33,10 @@
 //!   [`scheduler::SubmitError::PlanRejected`], long jobs are demoted to
 //!   the batch band, and the metrics report predicted-vs-actual
 //!   wall-clock.
-//! * [`loadgen`] — the synthetic heavy-traffic load generator behind the
-//!   `service_load` bench group and `BENCH_pr7.json`: sustained
-//!   submission with backpressure, p50/p99 latency, jobs/sec, and
-//!   dedup hit-rate.
+//!
+//! The service under load is measured by `benchmark/`'s `service_mix`
+//! workload (closed-loop mixed jobs; the `service.*` layer metrics),
+//! which drives the public [`Scheduler`] API like any client.
 //!
 //! Two layers of deduplication compose here: *identical* jobs share one
 //! execution (the scheduler's dedup groups), while merely
@@ -46,7 +46,6 @@
 //! ground-state key).
 
 pub mod job;
-pub mod loadgen;
 pub mod progress;
 pub mod scheduler;
 

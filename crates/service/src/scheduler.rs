@@ -1010,7 +1010,12 @@ mod tests {
         let b = s.submit(fdtd(5, 0.12)).unwrap();
         let err = s.submit(fdtd(5, 0.13)).unwrap_err();
         assert_eq!(err, SubmitError::QueueFull { capacity: 2 });
-        assert_eq!(s.metrics().rejected, 1);
+        let m = s.metrics();
+        assert_eq!(m.rejected, 1);
+        assert_eq!(
+            m.peak_queued, 2,
+            "the gate bounds the queue's high-water mark"
+        );
         blocker.cancel();
         assert!(blocker.wait().cancelled);
         assert!(!a.wait().cancelled);

@@ -1,7 +1,7 @@
 //! Train the Allegro-lite XS-NNQMD model stack end to end:
 //!
 //! 1. generate ground-state and excited-state reference datasets from the
-//!    QXMD effective model (the synthetic NAQMD data of DESIGN.md);
+//!    QXMD effective model (synthetic stand-ins for the paper's NAQMD data);
 //! 2. unify a second "fidelity" with TEA (MSA-2);
 //! 3. pretrain the foundation model (SAM/Legato training);
 //! 4. fine-tune the XS model from the FM weights;

@@ -1,13 +1,20 @@
 #!/usr/bin/env bash
-# Docs link check: fail on broken *relative* links in README.md and
-# docs/*.md (external http(s)/mailto links and pure #anchors are out of
-# scope — the build environment is offline).
+# Docs reference check: fail on references to files that do not exist.
 #
 #   scripts/check_links.sh
 #
-# A link `[text](target)` is broken when `target` (with any #fragment
-# stripped), resolved against the linking file's directory, names a file
-# or directory that does not exist.
+# Three kinds of reference are checked (external http(s)/mailto links
+# and pure #anchors are out of scope — the build environment is offline):
+#
+# * a markdown link `[text](target)` in README.md or docs/*.md, whose
+#   target (any #fragment stripped) is resolved against the linking
+#   file's directory;
+# * a backticked repo-relative path in README.md or docs/*.md starting
+#   with crates/, tests/, scripts/, shims/ or examples/ (its first word,
+#   any `::item` or `:line` suffix stripped; globs and brace lists are
+#   skipped), resolved against the repo root;
+# * a `*.md` file named in a `//!` or `///` comment under crates/ or
+#   examples/, resolved against the repo root, then docs/.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,7 +37,33 @@ for f in README.md docs/*.md; do
       fail=1
     fi
   done <<< "$targets"
+
+  paths=$(grep -oE '`(crates|tests|scripts|shims|examples)/[^`]*`' "$f" | tr -d '`' || true)
+  while IFS= read -r path; do
+    path="${path%% *}"
+    path="${path%%:*}"
+    case "$path" in
+      ''|*'*'*|*'{'*|*'<'*|*'…'*) continue ;;
+    esac
+    if [ ! -e "$path" ]; then
+      echo "stale path in $f: \`$path\` does not exist"
+      fail=1
+    fi
+  done <<< "$paths"
 done
+
+docs=$(grep -rnE --include='*.rs' '^[[:space:]]*//[/!]' crates examples |
+  grep -oE '^[^:]+:[0-9]+:|[A-Za-z0-9_./-]+\.md' || true)
+while IFS= read -r token; do
+  case "$token" in
+    *.md) ;;
+    *) where="${token%:}"; continue ;;
+  esac
+  if [ ! -e "$token" ] && [ ! -e "docs/$token" ]; then
+    echo "stale doc reference at $where: $token does not exist"
+    fail=1
+  fi
+done <<< "$docs"
 
 if [ "$fail" -ne 0 ]; then
   echo "link check: FAILED"

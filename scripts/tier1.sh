@@ -4,9 +4,9 @@
 #   scripts/tier1.sh
 #
 # Runs the release build, the full workspace test suite (unit, property,
-# integration, and doc tests), the bench and benchmark smokes, and the
-# doc, link, formatting and lint checks. Exits non-zero on the first
-# failure.
+# integration, and doc tests), the release-mode host-timing gates, the
+# benchmark smoke, and the doc, link, formatting and lint checks. Exits
+# non-zero on the first failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -17,20 +17,8 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo bench -p mlmd-bench --bench dc_scaling -- --test  (smoke)"
-cargo bench -p mlmd-bench --bench dc_scaling -- --test
-
-echo "==> cargo bench -p mlmd-bench --bench service_load -- --test  (smoke)"
-cargo bench -p mlmd-bench --bench service_load -- --test
-
-echo "==> cargo bench -p mlmd-bench --bench floquet -- --test  (smoke + <10% observer-overhead assert)"
-cargo bench -p mlmd-bench --bench floquet -- --test
-
-echo "==> cargo bench -p mlmd-bench --bench hotspots -- --test  (smoke + blocked>=1.3x naive GEMM gate)"
-cargo bench -p mlmd-bench --bench hotspots -- --test
-
-echo "==> cargo bench -p mlmd-bench --bench precision -- --test  (smoke + bf16 accuracy-envelope assert)"
-cargo bench -p mlmd-bench --bench precision -- --test
+echo "==> cargo test --release -q -p mlmd-bench --test host_gates  (blocked>=1.3x naive GEMM, <10% Floquet observer overhead, Table III ladder)"
+cargo test --release -q -p mlmd-bench --test host_gates
 
 echo "==> benchmark/run.sh --smoke  (all six BENCHMARK.json workloads, every output check, 0 failed)"
 CARGO_TARGET_DIR="$PWD/target" benchmark/run.sh --smoke

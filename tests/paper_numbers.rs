@@ -1,5 +1,6 @@
 //! Integration: the headline numbers of the paper's evaluation, pinned to
-//! tolerance bands (see EXPERIMENTS.md for the paper-vs-measured ledger).
+//! tolerance bands (the `table*`/`fig*` bins of `mlmd-bench` print the
+//! paper-vs-measured rows).
 
 use mlmd::exasim::dcmesh_model::DcMeshModel;
 use mlmd::exasim::nnqmd_model::NnqmdModel;
@@ -66,72 +67,4 @@ fn figure_4b_and_5b_strong_scaling() {
         .unwrap()
         .efficiency;
     assert!(big > small, "Fig 5b ordering");
-}
-
-#[test]
-fn table_iii_ladder_shape_on_host() {
-    // The measured ladder on this machine: every tier at least as fast as
-    // baseline, parallel tier strictly faster.
-    use mlmd::numerics::grid::Grid3;
-    // Wall-clock comparison: retry a few times so contention from other
-    // tests running concurrently cannot fail a correct implementation.
-    let mut best_parallel: f64 = 0.0;
-    let mut best_reorder: f64 = 0.0;
-    for _ in 0..4 {
-        let rows = mlmd_bench_ladder(Grid3::new(32, 32, 32, 0.5), 16, 3);
-        best_parallel = best_parallel.max(rows[3].1);
-        best_reorder = best_reorder.max(rows[1].1);
-        if best_parallel > 1.2 && best_reorder > 0.8 {
-            break;
-        }
-    }
-    // Wall-clock claims are only meaningful on optimized builds; debug
-    // builds still exercise the code path (correctness of all four tiers
-    // is asserted separately in mlmd-lfd's unit and property tests).
-    if cfg!(debug_assertions) {
-        assert!(best_parallel > 0.0);
-        return;
-    }
-    // The >1× parallel speedup is physically impossible on a single-CPU
-    // host (the thread pool degenerates to one worker), so the speedup
-    // claim is gated on actually having cores; the shape checks above and
-    // the reorder bound below stay unconditional.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores > 1 {
-        assert!(
-            best_parallel > 1.2,
-            "parallel must beat baseline on {cores} cores, got {best_parallel}x"
-        );
-    } else {
-        assert!(best_parallel > 0.0, "ladder must still run on 1 core");
-    }
-    assert!(best_reorder > 0.8, "reordering must not regress badly");
-}
-
-// Minimal local re-implementation to avoid a dev-dependency cycle on
-// mlmd-bench: measure the kin_prop ladder.
-fn mlmd_bench_ladder(
-    grid: mlmd::numerics::grid::Grid3,
-    norb: usize,
-    steps: usize,
-) -> Vec<(f64, f64)> {
-    use mlmd::lfd::kin_prop::{KinImpl, KinProp};
-    use mlmd::lfd::wavefunction::WaveFunctions;
-    use mlmd::numerics::flops::FlopCounter;
-    use mlmd::numerics::vec3::Vec3;
-    let kp = KinProp::new(grid);
-    let flops = FlopCounter::new();
-    let mut rows = Vec::new();
-    let mut baseline = 0.0;
-    for imp in KinImpl::ALL {
-        let mut wf = WaveFunctions::random(grid, norb, 1);
-        let start = std::time::Instant::now();
-        kp.propagate_n(imp, &mut wf, 0.01, Vec3::ZERO, steps, &flops);
-        let secs = start.elapsed().as_secs_f64();
-        if imp == KinImpl::Baseline {
-            baseline = secs;
-        }
-        rows.push((secs, baseline / secs));
-    }
-    rows
 }

@@ -14,7 +14,6 @@
 use mlmd::core::config::PipelineConfig;
 use mlmd::core::engine::{CancelToken, RunPlan, SampleStride, Stepper, TraceObserver};
 use mlmd::dcmesh::checkpoint::GroundStateCache;
-use mlmd::service::loadgen;
 use mlmd::service::{JobEvent, JobResult, JobSpec, Scheduler, ServiceConfig, SubmitError};
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,6 +96,17 @@ fn run_plan_keeps_submission_order_and_partial_traces_at_all_widths() {
     }
 }
 
+/// A small but real identical-material MESH sweep: ground-state descent
+/// on the primary, followers share the result without running at all.
+fn sweep_spec() -> JobSpec {
+    let mut cfg = PipelineConfig::small_demo();
+    cfg.cells = (4, 4, 1);
+    cfg.prepare_steps = 2;
+    cfg.mesh_steps = 2;
+    cfg.response_steps = 10;
+    JobSpec::pump_probe_sweep(cfg, vec![0.05, 0.1])
+}
+
 fn sweep_service() -> Scheduler {
     Scheduler::new(ServiceConfig {
         workers: 2,
@@ -116,7 +126,7 @@ fn identical_sweeps_share_one_execution_and_one_descent() {
     let blocker = scheduler
         .submit(JobSpec::fdtd_pulse(100_000, 0.2, 0.3, 20_000))
         .expect("admitted");
-    let sweep = loadgen::sweep_spec();
+    let sweep = sweep_spec();
     let handles: Vec<_> = (0..8)
         .map(|i| {
             scheduler
