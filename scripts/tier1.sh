@@ -5,6 +5,7 @@
 #
 # Runs the release build, the full workspace test suite (unit, property,
 # integration, and doc tests), the release-mode host-timing gates, the
+# release-mode pipeline suite (the ten-seed switching verdict), the
 # benchmark smoke, and the doc, link, formatting and lint checks. Exits
 # non-zero on the first failure.
 set -euo pipefail
@@ -19,6 +20,9 @@ cargo test -q
 
 echo "==> cargo test --release -q -p mlmd-bench --test host_gates  (blocked>=1.3x naive GEMM, <10% Floquet observer overhead, Table III ladder)"
 cargo test --release -q -p mlmd-bench --test host_gates
+
+echo "==> cargo test --release -q --test engine_pipeline  (switching verdict over ten seeds)"
+cargo test --release -q --test engine_pipeline
 
 echo "==> benchmark/run.sh --smoke  (all six BENCHMARK.json workloads, every output check, 0 failed)"
 CARGO_TARGET_DIR="$PWD/target" benchmark/run.sh --smoke

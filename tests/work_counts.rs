@@ -1,0 +1,102 @@
+//! Exact work counts of the canonical fixtures, pinned as numbers.
+//!
+//! Wall-clock drifts with the host; a count does not. This binary pins
+//! heap allocations with a counting `#[global_allocator]` local to it: it
+//! wraps the system allocator and counts, per thread, every `alloc`,
+//! `alloc_zeroed` and `realloc` and the bytes requested, so tests running
+//! on other threads of the harness do not perturb the count.
+//!
+//! | operation | allocations | bytes |
+//! |---|---|---|
+//! | `MdStage<SupercellForce>::advance`, analytic, `small_demo` | 1 | 512 cells × 24 B (`displacement_field`) |
+//! | `Langevin::apply`, after the first call | 0 | 0 |
+
+use mlmd::core::config::PipelineConfig;
+use mlmd::core::pipeline::Pipeline;
+use mlmd::numerics::rng::Xoshiro256;
+use mlmd::numerics::vec3::Vec3;
+use mlmd::qxmd::thermostat::Langevin;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static COUNT: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn tally(bytes: usize) {
+    // `try_with`: the allocator also serves thread teardown, after the
+    // thread-local is gone.
+    let _ = COUNT.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counting touches only a thread-local `Cell`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        tally(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        tally(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        tally(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocations and bytes `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> (u64, u64) {
+    let before = COUNT.with(Cell::get);
+    f();
+    let after = COUNT.with(Cell::get);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+#[test]
+fn respond_stage_step_allocates_only_the_displacement_field() {
+    let cfg = PipelineConfig::small_demo();
+    let mut stage = Pipeline::new(cfg).supercell_md_stage(0.3);
+    stage.advance();
+    let field_bytes = (cfg.n_cells() * std::mem::size_of::<Vec3>()) as u64;
+    for _ in 0..3 {
+        assert_eq!(
+            allocations(|| {
+                stage.advance();
+            }),
+            (1, field_bytes),
+            "(allocations, bytes) per analytic MdStage::advance"
+        );
+    }
+}
+
+#[test]
+fn langevin_apply_allocates_nothing() {
+    let mut system = Pipeline::new(PipelineConfig::small_demo())
+        .supercell_md_stage(0.0)
+        .into_parts()
+        .0;
+    let thermo = Langevin::new(1.0, 0.3);
+    let mut rng = Xoshiro256::new(1);
+    thermo.apply(&mut system, 0.2, &mut rng);
+    assert_eq!(
+        allocations(|| thermo.apply(&mut system, 0.2, &mut rng)),
+        (0, 0),
+        "(allocations, bytes) per Langevin::apply after the first call"
+    );
+}
