@@ -209,13 +209,21 @@ impl FerroModel {
             f += self.e_field * p.z_star;
             sys.forces[self.ti_index[c]] += f;
         }
-        // Nearest-neighbour coupling (periodic), each bond once.
+        // Nearest-neighbour coupling (periodic), each bond once. The +1
+        // neighbour wraps by compare, not by an integer `%` per bond.
+        let next = |k: usize, n: usize| if k + 1 == n { 0 } else { k + 1 };
         for kz in 0..nz {
+            let kz1 = next(kz, nz);
             for ky in 0..ny {
+                let ky1 = next(ky, ny);
                 for kx in 0..nx {
                     let c = self.cell_idx(kx, ky, kz);
-                    for (dx, dy, dz) in [(1usize, 0usize, 0usize), (0, 1, 0), (0, 0, 1)] {
-                        let n = self.cell_idx((kx + dx) % nx, (ky + dy) % ny, (kz + dz) % nz);
+                    let kx1 = next(kx, nx);
+                    for n in [
+                        self.cell_idx(kx1, ky, kz),
+                        self.cell_idx(kx, ky1, kz),
+                        self.cell_idx(kx, ky, kz1),
+                    ] {
                         if n == c {
                             continue; // degenerate axis (n_cells == 1)
                         }

@@ -3,7 +3,7 @@
 //! QXMD prepares thermal states (e.g. the 300 K skyrmion superlattice of
 //! the Fig. 3 workflow) before the NVE photo-response runs.
 
-use crate::atoms::{AtomsSystem, KB_EV, MASS_TIME_UNIT};
+use crate::atoms::{AtomsSystem, Species, KB_EV, MASS_TIME_UNIT};
 use mlmd_numerics::rng::Rng64;
 use mlmd_numerics::vec3::Vec3;
 
@@ -56,11 +56,14 @@ impl Langevin {
     /// `c₂ = √((1−c₁²)·kT/m')` per component.
     pub fn apply(&self, sys: &mut AtomsSystem, dt: f64, rng: &mut impl Rng64) {
         let c1 = (-self.gamma * dt).exp();
-        for i in 0..sys.len() {
-            let m_eff = sys.species[i].mass() * MASS_TIME_UNIT;
-            let c2 = ((1.0 - c1 * c1) * KB_EV * self.t_target / m_eff).sqrt();
+        // c₂ once per species, indexed by the `Species` discriminant.
+        let c2 = [Species::Pb, Species::Ti, Species::O].map(|s| {
+            let m_eff = s.mass() * MASS_TIME_UNIT;
+            ((1.0 - c1 * c1) * KB_EV * self.t_target / m_eff).sqrt()
+        });
+        for (&s, v) in sys.species.iter().zip(&mut sys.velocities) {
             let xi = Vec3::new(rng.next_normal(), rng.next_normal(), rng.next_normal());
-            sys.velocities[i] = sys.velocities[i] * c1 + xi * c2;
+            *v = *v * c1 + xi * c2[s as usize];
         }
     }
 }
@@ -68,7 +71,6 @@ impl Langevin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::atoms::Species;
     use mlmd_numerics::rng::Xoshiro256;
 
     fn gas(n: usize) -> AtomsSystem {
