@@ -4,6 +4,22 @@
 //! scheduling, so the simulation crates use explicit, seedable generators
 //! (SplitMix64 for seeding/light use, Xoshiro256** for long streams) rather
 //! than global state. `jump()` provides independent per-rank substreams.
+//!
+//! Two standard-normal samplers draw from these streams, for two kinds of
+//! caller, and they give different streams from the same generator state:
+//!
+//! * [`Rng64::next_normal`] is Box–Muller: one `ln`, `sqrt` and `cos` per
+//!   draw. Its callers draw once, at initialisation (network weights,
+//!   Maxwell–Boltzmann velocities, training sets, failure probes), where
+//!   speed does not matter and golden digests and seed-tuned tests pin the
+//!   exact stream, so it stays as it is.
+//! * [`Rng64::next_normal_ziggurat`] is the Marsaglia–Tsang ziggurat:
+//!   about 99 % of draws cost one `next_u64`, a table lookup and a compare.
+//!   It serves the per-step hot path, the Langevin thermostat's three
+//!   draws per atom per step, where Box–Muller's transcendentals cost
+//!   more than the rest of an MD step together.
+
+use std::sync::OnceLock;
 
 /// Common interface for the 64-bit generators.
 pub trait Rng64 {
@@ -47,6 +63,76 @@ pub trait Rng64 {
     #[inline]
     fn normal(&mut self, mean: f64, sd: f64) -> f64 {
         mean + sd * self.next_normal()
+    }
+
+    /// Standard normal by the 256-layer ziggurat (Marsaglia & Tsang,
+    /// J. Stat. Softw. 5(8), 2000). One `next_u64` supplies the layer
+    /// (bits 0–7), the sign (bit 8) and a 53-bit abscissa (bits 11–63),
+    /// so no two of them share a bit. A draw inside the layer's core
+    /// returns at once; one in a layer's wedge is accepted against the
+    /// density with a second uniform, and one past the base strip's edge r
+    /// comes from Marsaglia's exponential-rejection tail sampler.
+    #[inline]
+    fn next_normal_ziggurat(&mut self) -> f64 {
+        let z = Ziggurat::tables();
+        loop {
+            let bits = self.next_u64();
+            let i = (bits & 0xff) as usize;
+            // Bit 8 moved to the f64 sign bit.
+            let sign = (bits & 0x100) << 55;
+            let signed = |x: f64| f64::from_bits(x.to_bits() | sign);
+            let x = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * z.x[i];
+            if x < z.x[i + 1] {
+                return signed(x);
+            }
+            if i == 0 {
+                loop {
+                    // 1 − U ∈ (0, 1], so both logarithms are finite.
+                    let a = -(1.0 - self.next_f64()).ln() / ZIGGURAT_R;
+                    let b = -(1.0 - self.next_f64()).ln();
+                    if 2.0 * b > a * a {
+                        return signed(ZIGGURAT_R + a);
+                    }
+                }
+            }
+            if z.f[i] + (z.f[i + 1] - z.f[i]) * self.next_f64() < (-0.5 * x * x).exp() {
+                return signed(x);
+            }
+        }
+    }
+}
+
+/// Right edge r of the ziggurat's base strip, for 256 layers.
+const ZIGGURAT_R: f64 = 3.654_152_885_361_009;
+/// Area of every ziggurat layer under e^{−x²/2}: r·e^{−r²/2} plus the
+/// tail beyond r, √(π/2)·erfc(r/√2).
+const ZIGGURAT_V: f64 = 4.928_673_233_974_658e-3;
+
+/// The ziggurat's layer tables, built once per process.
+struct Ziggurat {
+    /// Layer right edges, decreasing: `x[0] = V/f(r)` (the base strip as a
+    /// rectangle of area V), `x[1] = r`, … `x[256] = 0`. Layer `i` spans
+    /// heights `f[i]..f[i + 1]`; below `x[i + 1]` it lies wholly under the
+    /// density.
+    x: [f64; 257],
+    /// The density at the edges, `f[i] = e^{−x[i]²/2}`.
+    f: [f64; 257],
+}
+
+impl Ziggurat {
+    fn tables() -> &'static Self {
+        static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            let pdf = |x: f64| (-0.5 * x * x).exp();
+            let mut x = [0.0; 257];
+            x[0] = ZIGGURAT_V / pdf(ZIGGURAT_R);
+            x[1] = ZIGGURAT_R;
+            // Each layer has area V: x[i]·(f(x[i+1]) − f(x[i])) = V.
+            for i in 1..255 {
+                x[i + 1] = (-2.0 * (ZIGGURAT_V / x[i] + pdf(x[i])).ln()).sqrt();
+            }
+            Self { x, f: x.map(pdf) }
+        })
     }
 }
 
@@ -238,6 +324,22 @@ mod tests {
     fn normal_moments() {
         let mut r = Xoshiro256::new(31);
         assert_standard_normal("Box–Muller", || r.next_normal());
+        let mut r = Xoshiro256::new(31);
+        assert_standard_normal("ziggurat", || r.next_normal_ziggurat());
+    }
+
+    /// r and V are consistent: the 255 layers built upward from the base
+    /// strip close at the density's peak, the top layer having area V too.
+    #[test]
+    fn ziggurat_layers_close_at_the_peak() {
+        let z = Ziggurat::tables();
+        assert!(z.x.windows(2).all(|w| w[0] > w[1]), "edges must decrease");
+        assert_eq!(z.x[256], 0.0);
+        let top = z.x[255] * (1.0 - z.f[255]);
+        assert!(
+            (top / ZIGGURAT_V - 1.0).abs() < 1e-12,
+            "top layer area {top} vs {ZIGGURAT_V}"
+        );
     }
 
     #[test]

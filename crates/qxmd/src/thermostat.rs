@@ -53,7 +53,9 @@ impl Langevin {
 
     /// Ornstein–Uhlenbeck velocity update over `dt`:
     /// `v ← c₁ v + c₂ ξ` with `c₁ = e^{−γΔt}`,
-    /// `c₂ = √((1−c₁²)·kT/m')` per component.
+    /// `c₂ = √((1−c₁²)·kT/m')` per component. ξ comes from
+    /// [`Rng64::next_normal_ziggurat`]: three draws per atom per step are
+    /// the hot path the ziggurat exists for.
     pub fn apply(&self, sys: &mut AtomsSystem, dt: f64, rng: &mut impl Rng64) {
         let c1 = (-self.gamma * dt).exp();
         // c₂ once per species, indexed by the `Species` discriminant.
@@ -62,7 +64,11 @@ impl Langevin {
             ((1.0 - c1 * c1) * KB_EV * self.t_target / m_eff).sqrt()
         });
         for (&s, v) in sys.species.iter().zip(&mut sys.velocities) {
-            let xi = Vec3::new(rng.next_normal(), rng.next_normal(), rng.next_normal());
+            let xi = Vec3::new(
+                rng.next_normal_ziggurat(),
+                rng.next_normal_ziggurat(),
+                rng.next_normal_ziggurat(),
+            );
             *v = *v * c1 + xi * c2[s as usize];
         }
     }
