@@ -20,6 +20,9 @@ pub enum Species {
 }
 
 impl Species {
+    /// Every species, in discriminant order (`ALL[s as usize] == s`).
+    pub const ALL: [Species; 3] = [Species::Pb, Species::Ti, Species::O];
+
     /// Atomic mass in amu.
     pub fn mass(self) -> f64 {
         match self {

@@ -59,7 +59,7 @@ impl Langevin {
     pub fn apply(&self, sys: &mut AtomsSystem, dt: f64, rng: &mut impl Rng64) {
         let c1 = (-self.gamma * dt).exp();
         // c₂ once per species, indexed by the `Species` discriminant.
-        let c2 = [Species::Pb, Species::Ti, Species::O].map(|s| {
+        let c2 = Species::ALL.map(|s| {
             let m_eff = s.mass() * MASS_TIME_UNIT;
             ((1.0 - c1 * c1) * KB_EV * self.t_target / m_eff).sqrt()
         });
@@ -108,6 +108,16 @@ mod tests {
         assert!((sys.temperature() - 300.0).abs() < 15.0);
     }
 
+    /// A gas of `per_species` atoms of each species, at rest.
+    fn mixed_gas(per_species: usize) -> AtomsSystem {
+        let species: Vec<Species> = Species::ALL
+            .iter()
+            .flat_map(|&s| std::iter::repeat_n(s, per_species))
+            .collect();
+        let n = species.len();
+        AtomsSystem::new(species, vec![Vec3::ZERO; n], Vec3::splat(100.0))
+    }
+
     /// Instantaneous kinetic temperature of one species' atoms.
     fn species_temperature(sys: &AtomsSystem, species: Species) -> f64 {
         let (sum, n) = sys
@@ -127,19 +137,12 @@ mod tests {
     /// Pb/Ti/O gas whose masses span 13×.
     #[test]
     fn langevin_equilibrates_to_target() {
-        let mixed: Vec<Species> = [Species::Pb, Species::Ti, Species::O]
-            .iter()
-            .flat_map(|&s| std::iter::repeat_n(s, 200))
-            .collect();
-        for species in [vec![Species::O; 300], mixed] {
-            let n = species.len();
-            let mut sys = AtomsSystem::new(species, vec![Vec3::ZERO; n], Vec3::splat(100.0));
+        for mut sys in [gas(300), mixed_gas(200)] {
             let mut rng = Xoshiro256::new(3);
             let thermo = Langevin::new(400.0, 0.05);
-            let kinds = [Species::Pb, Species::Ti, Species::O];
-            let present: Vec<Species> = kinds
+            let present: Vec<Species> = Species::ALL
                 .into_iter()
-                .filter(|k| sys.species.contains(k))
+                .filter(|s| sys.species.contains(s))
                 .collect();
             // Start cold (v = 0) and let the OU process equilibrate
             // (1/γ = 40 steps), then average over the last 1500 steps.
@@ -157,8 +160,9 @@ mod tests {
                 let t = t / n_samples as f64;
                 assert!(
                     (t - 400.0).abs() < 30.0,
-                    "{} of {n} atoms: T_avg = {t}",
-                    s.symbol()
+                    "{} of {} atoms: T_avg = {t}",
+                    s.symbol(),
+                    sys.len()
                 );
             }
         }
@@ -174,12 +178,8 @@ mod tests {
         let (gamma, dt) = (0.1, 0.5);
         let lags = [10usize, 20, 40];
         let n_origins = 12;
-        let species: Vec<Species> = [Species::Pb, Species::Ti, Species::O]
-            .iter()
-            .flat_map(|&s| std::iter::repeat_n(s, 150))
-            .collect();
-        let n = species.len();
-        let mut sys = AtomsSystem::new(species, vec![Vec3::ZERO; n], Vec3::splat(100.0));
+        let mut sys = mixed_gas(150);
+        let n = sys.len();
         let mut rng = Xoshiro256::new(5);
         sys.thermalize(300.0, &mut rng);
         let thermo = Langevin::new(300.0, gamma);
