@@ -10,14 +10,25 @@
 //! |---|---|---|
 //! | `MdStage<SupercellForce>::advance`, analytic, `small_demo` | 1 | 512 cells × 24 B (`displacement_field`) |
 //! | `Langevin::apply`, after the first call | 0 | 0 |
+//!
+//! It also pins the modeled host↔device traffic of the canonical MESH
+//! fixture (`small_mesh_driver`: 8³ grid, 8 orbitals) on its
+//! `TransferLedger`:
+//!
+//! | operation | H2D bytes | D2H bytes |
+//! |---|---|---|
+//! | construction | ψ (8³ × 8 × 16) + v_loc (8³ × 8) | 0 |
+//! | each `MeshDriver::step` | Δv_loc (8³ × 8) + occupations (8 × 8) | Δf, n_exc, J ((8 + 4) × 8) |
 
 use mlmd::core::config::PipelineConfig;
 use mlmd::core::pipeline::Pipeline;
+use mlmd::dcmesh::fixture::small_mesh_driver;
 use mlmd::numerics::rng::Xoshiro256;
 use mlmd::numerics::vec3::Vec3;
 use mlmd::qxmd::thermostat::Langevin;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 struct Counting;
 
@@ -99,4 +110,30 @@ fn langevin_apply_allocates_nothing() {
         (0, 0),
         "(allocations, bytes) per Langevin::apply after the first call"
     );
+}
+
+#[test]
+fn mesh_driver_ledger_bytes_are_exact() {
+    let mut driver = small_mesh_driver(0.05);
+    let ledger = Arc::clone(&driver.shadow.ledger);
+    let (n_grid, n_orb) = (8 * 8 * 8, 8);
+    let psi_bytes = n_grid * n_orb * 16;
+    assert_eq!(driver.shadow.psi_bytes(), psi_bytes);
+    let construction = psi_bytes + n_grid * 8;
+    assert_eq!(
+        (ledger.h2d_bytes(), ledger.d2h_bytes()),
+        (construction, 0),
+        "(H2D, D2H) bytes after construction"
+    );
+    for steps in 1..=3 {
+        driver.step();
+        assert_eq!(
+            (ledger.h2d_bytes(), ledger.d2h_bytes()),
+            (
+                construction + steps * (n_grid * 8 + n_orb * 8),
+                steps * (n_orb + 4) * 8
+            ),
+            "(H2D, D2H) bytes after {steps} MeshDriver::step"
+        );
+    }
 }
