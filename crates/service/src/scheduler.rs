@@ -266,16 +266,22 @@ impl Band {
         }
     }
 
+    /// Serve the tenant at the cursor, round-robin. Every queue in
+    /// `tenants` is non-empty: a tenant is dropped when its last job is
+    /// popped, and the cursor then already points at the tenant after it.
     fn pop(&mut self) -> Option<QueueEntry> {
-        let n = self.tenants.len();
-        for k in 0..n {
-            let i = (self.cursor + k) % n;
-            if let Some(entry) = self.tenants[i].jobs.pop_front() {
-                self.cursor = (i + 1) % n;
-                return Some(entry);
-            }
+        let i = self.cursor;
+        let jobs = &mut self.tenants.get_mut(i)?.jobs;
+        let entry = jobs.pop_front();
+        if jobs.is_empty() {
+            self.tenants.remove(i);
+        } else {
+            self.cursor += 1;
         }
-        None
+        if self.cursor >= self.tenants.len() {
+            self.cursor = 0;
+        }
+        entry
     }
 }
 
@@ -1059,6 +1065,29 @@ mod tests {
             vec![b_high.id(), a[0].id(), b_normal.id(), a[1].id(), a[2].id()]
         );
         s.shutdown();
+    }
+
+    #[test]
+    fn drained_tenants_leave_no_queue_behind() {
+        // A long-running service sees many tenant names; a tenant whose
+        // jobs have all been served must not keep a queue in its band.
+        let s = one_worker();
+        let handles: Vec<JobHandle> = (0..64)
+            .map(|t| {
+                let spec = fdtd(1, 0.3 + t as f64 * 1e-3);
+                s.submit_for(&format!("tenant-{t}"), Priority::Normal, spec)
+                    .unwrap()
+            })
+            .collect();
+        for h in &handles {
+            h.wait();
+        }
+        let queues: usize = {
+            let q = s.inner.queue.lock().unwrap();
+            q.bands.iter().map(|b| b.tenants.len()).sum()
+        };
+        s.shutdown();
+        assert_eq!(queues, 0, "drained tenants must not keep their queues");
     }
 
     #[test]
