@@ -52,8 +52,6 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 
 /// Domain separator folded first into every MESH ground-state key.
 const MESH_KEY_SALT: u64 = u64::from_le_bytes(*b"mesh-gs\0");
-/// Domain separator folded first into every DC-SCF domain key.
-const SCF_KEY_SALT: u64 = u64::from_le_bytes(*b"dcscf-gs");
 
 /// Descent parameters the checkpointed panel was converged with.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -111,22 +109,6 @@ pub fn ground_state_key(
     for &v in vloc0 {
         h.write_f64(v);
     }
-    h.finish()
-}
-
-/// FNV config hash identifying one DC-SCF domain's initial-panel
-/// problem: the domain grid, orbital count, electron count, and the RNG
-/// seed of the serial initial guess (`seed + domain_index`).
-pub fn scf_domain_key(grid: &Grid3, norb: usize, electrons: f64, seed: u64) -> u64 {
-    let mut h = Fnv64::new();
-    h.write_u64(SCF_KEY_SALT);
-    h.write_u64(grid.nx as u64);
-    h.write_u64(grid.ny as u64);
-    h.write_u64(grid.nz as u64);
-    h.write_f64(grid.h);
-    h.write_u64(norb as u64);
-    h.write_f64(electrons);
-    h.write_u64(seed);
     h.finish()
 }
 
@@ -223,24 +205,6 @@ impl GroundStateCache {
     pub fn global() -> Self {
         static GLOBAL: OnceLock<GroundStateCache> = OnceLock::new();
         GLOBAL.get_or_init(GroundStateCache::new).clone()
-    }
-
-    /// Look up a *finished* ground state by config key (an in-flight
-    /// computation is not visible here).
-    pub fn get(&self, key: u64) -> Option<GroundState> {
-        match self.inner.map.lock().expect("cache poisoned").get(&key) {
-            Some(Slot::Ready(gs)) => Some(gs.clone()),
-            _ => None,
-        }
-    }
-
-    /// Insert a ground state under its own key.
-    pub fn insert(&self, gs: GroundState) {
-        self.inner
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .insert(gs.key, Slot::Ready(gs));
     }
 
     /// Return the cached ground state for `key`, computing and caching
@@ -785,9 +749,6 @@ mod tests {
             base,
             ground_state_key(&grid, a.panel_digest(), &occ, &v, 0.1, 61)
         );
-        // The SCF key space cannot collide with the MESH key space by
-        // construction (different leading salt).
-        assert_ne!(base, scf_domain_key(&grid, 2, 2.0, 42));
     }
 
     #[test]

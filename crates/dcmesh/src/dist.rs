@@ -26,8 +26,9 @@
 //!
 //! What this driver owns is therefore only what needs the world: the
 //! hierarchy, the density allreduce, the root-resolves-then-broadcast of
-//! the initial panel and of `v_local` (`root_resolves`), and the
-//! band-energy allreduce.
+//! `v_local` (`root_resolves`), and the band-energy allreduce. The initial
+//! panel needs no collective: every rank draws the serial oracle's seeded
+//! random panel itself.
 //!
 //! # Bit-identity to the serial oracle
 //!
@@ -50,7 +51,6 @@
 //!   term per domain in world-rank order — the same order as the serial
 //!   domain loop.
 
-use crate::checkpoint::WarmStart;
 use crate::domain::{Domain, DomainDecomposition};
 use crate::scf::{self, ScfIteration};
 use mlmd_lfd::occupation::Occupations;
@@ -60,9 +60,10 @@ use mlmd_parallel::comm::{Comm, World};
 use mlmd_parallel::hier::Hierarchy;
 
 /// A value the domain root resolves once and every rank of `domain` ends
-/// up with: the root calls `resolve` and broadcasts, so a descent, a cache
-/// lookup or a checkpoint read happens once per domain. One rank is just
-/// `resolve()` — no collective.
+/// up with: the root calls `resolve` and broadcasts, so a multigrid solve
+/// or a MESH ground-state resolve (descent, cache lookup or checkpoint
+/// read) happens once per domain. One rank is just `resolve()` — no
+/// collective.
 pub(crate) fn root_resolves<T: Send + Clone + 'static>(
     domain: &Comm,
     resolve: impl FnOnce() -> T,
@@ -99,10 +100,9 @@ pub struct DistributedDcScf {
 
 impl DistributedDcScf {
     /// Initialize on one rank of an SPMD region, mirroring
-    /// [`crate::scf::DcScf::new`]: domain `d` gets a random orthonormal panel seeded
-    /// with `seed + d` and aufbau occupations, so a world of any
-    /// compatible size starts from exactly the serial initial state.
-    /// Equivalent to [`Self::with_warm_start`] with [`WarmStart::Fresh`].
+    /// [`crate::scf::DcScf::new`]: domain `d` gets the random orthonormal
+    /// panel seeded with `seed + d` and aufbau occupations, so a world of
+    /// any compatible size starts from exactly the serial initial state.
     pub fn new(
         world: Comm,
         decomposition: DomainDecomposition,
@@ -111,44 +111,9 @@ impl DistributedDcScf {
         atoms: Vec<AtomSite>,
         seed: u64,
     ) -> Self {
-        Self::with_warm_start(
-            world,
-            decomposition,
-            norb,
-            electrons_per_domain,
-            atoms,
-            seed,
-            &WarmStart::Fresh,
-        )
-    }
-
-    /// Initialize with this domain's initial panel resolved through a
-    /// warm-start source once, on the domain root, and broadcast
-    /// (`root_resolves`): a cache hit or a checkpoint file is read by one
-    /// rank per domain, and broadcasting a value the serial kernel
-    /// produced preserves bit-identity trivially.
-    #[allow(clippy::too_many_arguments)] // mirrors the serial constructor + source
-    pub fn with_warm_start(
-        world: Comm,
-        decomposition: DomainDecomposition,
-        norb: usize,
-        electrons_per_domain: f64,
-        atoms: Vec<AtomSite>,
-        seed: u64,
-        warm_start: &WarmStart,
-    ) -> Self {
         let hier = Hierarchy::build(world, decomposition.len());
         let dom = decomposition.domains[hier.domain_index].clone();
-        let wf = root_resolves(&hier.domain, || {
-            scf::resolve_initial_panel(
-                &dom.grid,
-                norb,
-                electrons_per_domain,
-                seed,
-                hier.domain_index,
-                warm_start,
-            )
-        });
+        let wf = WaveFunctions::random(dom.grid, norb, seed + hier.domain_index as u64);
         let occ = Occupations::aufbau(norb, electrons_per_domain);
         let global_len = decomposition.spec.global.len();
         let v_local = vec![0.0; dom.grid.len()];

@@ -204,75 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn nn_term_survives_the_serial_distributed_oracle() {
-        use mlmd_nnqmd::{AllegroLite, ModelConfig as NnConfig, NnForceField};
-        use std::sync::Arc;
-
-        let cfg = NnConfig {
-            hidden: 6,
-            k_max: 4,
-            rcut: 3.5,
-        };
-        let mut serial = small_mesh_builder(0.05)
-            .nn_term(Arc::new(NnForceField::with_batches(
-                AllegroLite::new(cfg, 17),
-                1,
-            )))
-            .build();
-        let want = serial.run(2);
-        let got = run_distributed_mesh(1, 2, 2, |_| {
-            small_mesh_builder(0.05).nn_term(Arc::new(NnForceField::with_batches(
-                AllegroLite::new(cfg, 17),
-                1,
-            )))
-        });
-        records_equal(&want, &got[0]);
-    }
-
-    #[test]
-    fn force_batch_folds_redundant_domain_inference() {
-        use mlmd_nnqmd::{AllegroLite, ForceBatch, ModelConfig as NnConfig};
-        use std::sync::Arc;
-
-        // Two identical lit domains, one rank each, sharing ONE ForceBatch
-        // rendezvous sized to the world: every MD step, each rank's QXMD
-        // stage issues two force requests (the explicit pre-compute and the
-        // one inside velocity Verlet), and the byte-identical requests from
-        // the mirrored domains must collapse to a single inference per
-        // round — "one inference call serves all DC domains".
-        let cfg = NnConfig {
-            hidden: 6,
-            k_max: 4,
-            rcut: 3.5,
-        };
-        let n_steps = 2usize;
-        let batch = Arc::new(ForceBatch::new(AllegroLite::new(cfg, 17), 1, 2));
-        let shared = batch.clone();
-        let out = World::run(2, move |world| {
-            let term = shared.clone();
-            let mut drv = DistributedMeshDriver::new(world, 2, move |_| {
-                small_mesh_builder(0.05).nn_term(term.clone())
-            });
-            drv.run(n_steps)
-        });
-        // Mirrored domains stay bit-identical, so every rendezvous round
-        // deduplicates the two rank requests down to one evaluation.
-        records_equal(&out[0], &out[1]);
-        let rounds = 2 * n_steps as u64;
-        assert_eq!(batch.rounds(), rounds, "two force evaluations per step");
-        assert_eq!(
-            batch.unique_evaluations(),
-            rounds,
-            "identical domains must dedup to one inference per round"
-        );
-        assert_eq!(
-            batch.requests_served(),
-            2 * rounds,
-            "both ranks are served from each shared round"
-        );
-    }
-
-    #[test]
     fn exchange_reports_one_slot_per_domain() {
         let out = World::run(2, |world| {
             let mut drv = DistributedMeshDriver::new(world, 2, |d| {

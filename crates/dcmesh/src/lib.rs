@@ -17,19 +17,21 @@
 //!   the domain's band group; [`ehrenfest::run_inner_loop`] is its
 //!   one-block case.
 //! * [`shadow`] — shadow dynamics (Sec. V.A.3): GPU-resident wave
-//!   functions, CPU↔GPU handshake limited to Δv_loc (down) and
-//!   Δf / n_exc / J (up), byte-accounted so tests can assert the
-//!   O(occupations) transfer claim.
+//!   functions and potential (plain storage), CPU↔GPU handshake limited
+//!   to Δv_loc (down) and Δf / n_exc / J (up), each crossing recorded on
+//!   a transfer ledger so tests can assert the O(occupations) claim.
 //! * [`mesh`] — the full MESH step driver: Maxwell field ↔ Ehrenfest
 //!   electrons ↔ surface hopping ↔ QXMD atoms, with per-step
 //!   topological-charge accumulation of the QM patch. The step is written
-//!   once, over the domain's band group; one rank is the serial case.
-//! * [`checkpoint`] — ground-state checkpointing and warm starts: the
-//!   converged pre-descent panel as a first-class, FNV-keyed artifact
+//!   once, over the domain's band group; one rank is the serial case. Its
+//!   QXMD stage is the excitation-reshaped ferroelectric model alone.
+//! * [`checkpoint`] — MESH ground-state checkpointing and warm starts:
+//!   the converged pre-descent panel as a first-class, FNV-keyed artifact
 //!   ([`checkpoint::GroundState`]) that can be cached in-process
 //!   ([`checkpoint::GroundStateCache`]) or saved to a versioned,
 //!   digest-protected binary file, so one descent serves every driver,
-//!   rank, and sweep amplitude with the same configuration.
+//!   rank, and sweep amplitude with the same configuration. The SCF
+//!   drivers always start from the seeded random panel.
 //! * [`dist`] / [`dist_mesh`] — the SCF and the MESH step driver sharded
 //!   across simulated-MPI ranks (see below).
 //! * [`fixture`] — the canonical laptop-scale problems every

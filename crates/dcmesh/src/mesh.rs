@@ -138,7 +138,6 @@ pub struct MeshDriverBuilder {
     ledger: Arc<TransferLedger>,
     polarization_axis: Vec3,
     warm_start: WarmStart,
-    nn_term: Option<Arc<dyn ForceField + Send + Sync>>,
 }
 
 impl MeshDriverBuilder {
@@ -162,20 +161,7 @@ impl MeshDriverBuilder {
             ledger: Arc::new(TransferLedger::new()),
             polarization_axis: Vec3::EZ,
             warm_start: WarmStart::Fresh,
-            nn_term: None,
         }
-    }
-
-    /// Add a neural-network force term to the QXMD stage: the term's
-    /// forces are accumulated on top of the ferroelectric model inside
-    /// every atomic advance of the MD stage (e.g. an
-    /// `mlmd_nnqmd::NnForceField`, or a shared `mlmd_nnqmd::ForceBatch`
-    /// so replicated distributed ranks fold their redundant evaluations
-    /// into one inference call per step). `None` — the default — is
-    /// bit-identical to the pre-existing ferro-only stage.
-    pub fn nn_term(mut self, term: Arc<dyn ForceField + Send + Sync>) -> Self {
-        self.nn_term = Some(term);
-        self
     }
 
     pub fn config(mut self, config: MeshConfig) -> Self {
@@ -304,7 +290,6 @@ impl MeshDriverBuilder {
             ferro: self.ferro,
             drive: self.drive,
             polarization_axis: self.polarization_axis,
-            nn_term: self.nn_term,
             psi0,
             occupied0,
             tracked_sites: self.tracked_sites,
@@ -331,9 +316,6 @@ pub struct MeshDriver {
     pub ferro: FerroModel,
     pub drive: Drive,
     pub polarization_axis: Vec3,
-    /// Optional neural-network force term added to the ferroelectric
-    /// model in the QXMD stage (see [`MeshDriverBuilder::nn_term`]).
-    pub nn_term: Option<Arc<dyn ForceField + Send + Sync>>,
     /// Reference orbital panel (t = 0) for excitation projection.
     psi0: WaveFunctions,
     /// Which reference states were occupied at t = 0 (the projection
@@ -446,13 +428,7 @@ impl MeshDriver {
         self.shadow.set_occupations(&f);
         self.last_eps = eps;
         // --- 4. QXMD with excitation-reshaped forces ---
-        let pe = advance_atoms(
-            &cfg,
-            &mut self.ferro,
-            &mut self.atoms,
-            n_exc,
-            self.nn_term.as_deref(),
-        );
+        let pe = advance_atoms(&cfg, &mut self.ferro, &mut self.atoms, n_exc);
         // --- 5. shadow handshake: Δv_loc from the moved atoms ---
         self.last_vloc = shadow_handshake(
             &mut self.shadow,
@@ -601,46 +577,20 @@ fn fold_excitation(terms: &[f64], occupied0: &[bool], occ: &Occupations) -> f64 
 /// QXMD stage: the excitation fraction reshapes the ferroelectric energy
 /// landscape (XS forces) and velocity Verlet advances the atoms. Returns
 /// the potential energy. Runs redundantly on every rank of a band group.
-///
-/// With `nn: Some(term)` the network term's forces are accumulated on
-/// top of the ferroelectric model in every force evaluation of the step;
-/// with `None` the stage is the exact pre-existing floating-point
-/// program (pinned by the serial/distributed bit-identity tests).
+/// The stage has no network term: NN forces belong to the XS-NNQMD
+/// respond stage (paper Sec. V.A.8).
 fn advance_atoms(
     cfg: &MeshConfig,
     ferro: &mut FerroModel,
     atoms: &mut AtomsSystem,
     n_exc: f64,
-    nn: Option<&(dyn ForceField + Send + Sync)>,
 ) -> f64 {
     let n_cells = ferro.cell_count();
     let x = (n_exc * cfg.exc_per_cell_scale / n_cells as f64).clamp(0.0, 1.0);
     ferro.set_uniform_excitation(x);
     let vv = VelocityVerlet::new(cfg.dt_md_fs);
-    match nn {
-        None => {
-            ferro.compute(atoms);
-            vv.step(atoms, ferro)
-        }
-        Some(nn) => {
-            let combined = FerroPlusNetwork { ferro, nn };
-            combined.compute(atoms);
-            vv.step(atoms, &combined)
-        }
-    }
-}
-
-/// The ferroelectric model plus a borrowed network term, summed for one
-/// QXMD stage.
-struct FerroPlusNetwork<'a> {
-    ferro: &'a FerroModel,
-    nn: &'a (dyn ForceField + Send + Sync),
-}
-
-impl ForceField for FerroPlusNetwork<'_> {
-    fn accumulate(&self, sys: &mut AtomsSystem) -> f64 {
-        self.ferro.accumulate(sys) + self.nn.accumulate(sys)
-    }
+    ferro.compute(atoms);
+    vv.step(atoms, ferro)
 }
 
 /// Shadow handshake: ship the ionic-motion-induced Δv_loc back to the
@@ -778,63 +728,5 @@ mod tests {
         let after: f64 = records.last().unwrap().occupations.iter().sum();
         // Total occupation conserved by the hopping master equation.
         assert!((before - after).abs() < 1e-9);
-    }
-
-    #[test]
-    fn nn_term_contributes_forces_to_the_qxmd_stage() {
-        use mlmd_nnqmd::{AllegroLite, ModelConfig as NnConfig, NnForceField};
-
-        let model = AllegroLite::new(
-            NnConfig {
-                hidden: 6,
-                k_max: 4,
-                rcut: 3.5,
-            },
-            17,
-        );
-        let mut plain = crate::fixture::small_mesh_driver(0.05);
-        let mut hybrid = crate::fixture::small_mesh_builder(0.05)
-            .nn_term(Arc::new(NnForceField::with_batches(model, 1)))
-            .build();
-        let rp = plain.run(2);
-        let rh = hybrid.run(2);
-        // The network term shifts the potential energy surface: the QXMD
-        // stage must see it in both the energy and the trajectory it
-        // produces (the fixture's dark ferro stage alone is force-free at
-        // the coupled minimum, so any motion here is the nn term's).
-        assert_ne!(
-            rp[0].atom_potential_energy.to_bits(),
-            rh[0].atom_potential_energy.to_bits(),
-            "nn term must change the reported potential energy"
-        );
-        let moved = plain
-            .atoms
-            .positions
-            .iter()
-            .zip(&hybrid.atoms.positions)
-            .any(|(a, b)| (*a - *b).norm() > 1e-12);
-        assert!(moved, "nn forces must perturb the atomic trajectory");
-        for r in &rh {
-            assert!(
-                r.atom_potential_energy.is_finite(),
-                "hybrid stage must stay finite"
-            );
-        }
-    }
-
-    #[test]
-    fn omitting_the_nn_term_is_bit_identical_to_the_plain_builder() {
-        // `nn_term` defaults to `None`; a builder that never touches it and
-        // one that does not exist yet in older call sites must agree —
-        // i.e. the seam is invisible unless opted into.
-        let ra = crate::fixture::small_mesh_builder(0.05).build().run(3);
-        let rb = crate::fixture::small_mesh_driver(0.05).run(3);
-        for (a, b) in ra.iter().zip(&rb) {
-            assert_eq!(a.n_exc.to_bits(), b.n_exc.to_bits());
-            assert_eq!(
-                a.atom_potential_energy.to_bits(),
-                b.atom_potential_energy.to_bits()
-            );
-        }
     }
 }

@@ -12,8 +12,11 @@
 //!    refinement of the orbitals + Gram–Schmidt + subspace Rayleigh–Ritz
 //!    (the dense, fast tier);
 //! 5. density mixing, repeat until the band energy stops moving.
+//!
+//! Every domain starts from its seeded random panel: the oracle suites pin
+//! whole SCF histories, so there is no warm start here (the MESH
+//! ground-state cache is in [`crate::checkpoint`]).
 
-use crate::checkpoint::{self, DescentMeta, GroundState, GroundStateCache, WarmStart};
 use crate::domain::{Domain, DomainDecomposition};
 use mlmd_lfd::density;
 use mlmd_lfd::hartree::Multigrid;
@@ -30,7 +33,6 @@ use mlmd_numerics::stencil::{laplacian, Order};
 use mlmd_parallel::comm::Comm;
 use mlmd_parallel::hier::partition;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
 
 /// Damping of the preconditioned steepest-descent orbital refinement.
 pub const DESCENT_ETA: f64 = 0.1;
@@ -261,11 +263,6 @@ pub struct DcScf {
     pub v_global: Vec<f64>,
     /// Last global density.
     pub rho_global: Vec<f64>,
-    /// RNG seed of the initial panels — part of the warm-start config key
-    /// ([`crate::checkpoint::scf_domain_key`]).
-    pub seed: u64,
-    /// Electrons per domain — part of the warm-start config key.
-    pub electrons_per_domain: f64,
 }
 
 /// Convergence record per SCF iteration.
@@ -366,55 +363,9 @@ pub fn run_scf_loop(mut step: impl FnMut() -> f64, tol: f64, max_iter: usize) ->
     history
 }
 
-/// The checkpoint path of one SCF domain under a common prefix:
-/// `<prefix>.dom<d>` (each domain has its own grid and panel, so the SCF
-/// drivers save and load one checkpoint file per domain).
-pub fn domain_checkpoint_path(prefix: &Path, d: usize) -> PathBuf {
-    let mut os = prefix.as_os_str().to_os_string();
-    os.push(format!(".dom{d}"));
-    PathBuf::from(os)
-}
-
-/// Resolve SCF domain `d`'s initial orbital panel through a warm-start
-/// source. `Fresh` reproduces the serial oracle's random panel;
-/// `InMemory` falls back to that same random panel on a cache miss (so a
-/// cold cache is exactly the oracle); `File` is strict — a missing file,
-/// foreign key, wrong version, or corrupt payload is a hard error, never
-/// a silent fresh start. The shared kernel used by both [`DcScf`] and
-/// [`crate::dist::DistributedDcScf`] (where only the domain root calls
-/// it and broadcasts the result).
-pub(crate) fn resolve_initial_panel(
-    grid: &Grid3,
-    norb: usize,
-    electrons_per_domain: f64,
-    seed: u64,
-    d: usize,
-    warm_start: &WarmStart,
-) -> WaveFunctions {
-    let domain_seed = seed + d as u64;
-    let fresh = || WaveFunctions::random(*grid, norb, domain_seed);
-    let key = checkpoint::scf_domain_key(grid, norb, electrons_per_domain, domain_seed);
-    match warm_start {
-        WarmStart::Fresh => fresh(),
-        WarmStart::InMemory(cache) => cache.get(key).map(|gs| gs.panel).unwrap_or_else(fresh),
-        WarmStart::File(prefix) => {
-            let path = domain_checkpoint_path(prefix, d);
-            checkpoint::load_for_key(&path, key)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "SCF warm start from checkpoint {} failed: {e}",
-                        path.display()
-                    )
-                })
-                .panel
-        }
-    }
-}
-
 impl DcScf {
-    /// Initialize with random orbitals and aufbau occupations
-    /// (`electrons_per_domain` each) — the cold path, equivalent to
-    /// [`Self::with_warm_start`] with [`WarmStart::Fresh`].
+    /// Initialize with random orbitals (domain `d` seeded with `seed + d`)
+    /// and aufbau occupations (`electrons_per_domain` each).
     pub fn new(
         decomposition: DomainDecomposition,
         norb: usize,
@@ -422,39 +373,12 @@ impl DcScf {
         atoms: Vec<AtomSite>,
         seed: u64,
     ) -> Self {
-        Self::with_warm_start(
-            decomposition,
-            norb,
-            electrons_per_domain,
-            atoms,
-            seed,
-            &WarmStart::Fresh,
-        )
-    }
-
-    /// Initialize with each domain's panel resolved through a warm-start
-    /// source (`resolve_initial_panel`): a converged panel published by
-    /// a previous run ([`Self::publish_ground_states`] /
-    /// [`Self::save_ground_states`]) skips the expensive early descent
-    /// sweeps. Unlike the MESH warm start, a warm SCF history is *not*
-    /// bit-identical to a cold one — it converges from a different (much
-    /// better) starting point — so the oracle suites always run `Fresh`.
-    pub fn with_warm_start(
-        decomposition: DomainDecomposition,
-        norb: usize,
-        electrons_per_domain: f64,
-        atoms: Vec<AtomSite>,
-        seed: u64,
-        warm_start: &WarmStart,
-    ) -> Self {
         let global_len = decomposition.spec.global.len();
         let orbitals: Vec<WaveFunctions> = decomposition
             .domains
             .iter()
             .enumerate()
-            .map(|(d, dom)| {
-                resolve_initial_panel(&dom.grid, norb, electrons_per_domain, seed, d, warm_start)
-            })
+            .map(|(d, dom)| WaveFunctions::random(dom.grid, norb, seed + d as u64))
             .collect();
         let occupations = vec![Occupations::aufbau(norb, electrons_per_domain); orbitals.len()];
         Self {
@@ -465,63 +389,7 @@ impl DcScf {
             mixing: 0.4,
             v_global: vec![0.0; global_len],
             rho_global: vec![0.0; global_len],
-            seed,
-            electrons_per_domain,
         }
-    }
-
-    /// Publish every domain's current panel into an in-memory cache as a
-    /// warm-start ground state (keyed by [`crate::checkpoint::scf_domain_key`]).
-    /// Meaningful after [`Self::converge`] — the published panel is
-    /// whatever the orbitals currently are.
-    pub fn publish_ground_states(&self, cache: &GroundStateCache) {
-        for gs in self.ground_states() {
-            cache.insert(gs);
-        }
-    }
-
-    /// Save every domain's current panel as a checkpoint file under a
-    /// common prefix ([`domain_checkpoint_path`]: `<prefix>.dom<d>`),
-    /// returning the written paths.
-    pub fn save_ground_states(
-        &self,
-        prefix: &Path,
-    ) -> Result<Vec<PathBuf>, checkpoint::CheckpointError> {
-        let mut paths = Vec::new();
-        for (d, gs) in self.ground_states().into_iter().enumerate() {
-            let path = domain_checkpoint_path(prefix, d);
-            checkpoint::save_checkpoint(&gs, &path)?;
-            paths.push(path);
-        }
-        Ok(paths)
-    }
-
-    /// The per-domain ground states of the current orbital panels: panel,
-    /// occupations, the last restricted local potential, and the SCF
-    /// descent parameters, keyed for warm-start lookup.
-    fn ground_states(&self) -> Vec<GroundState> {
-        let g = self.decomposition.spec.global;
-        self.decomposition
-            .domains
-            .iter()
-            .zip(self.orbitals.iter().zip(&self.occupations))
-            .enumerate()
-            .map(|(d, (dom, (wf, occ)))| GroundState {
-                key: checkpoint::scf_domain_key(
-                    &dom.grid,
-                    wf.norb,
-                    self.electrons_per_domain,
-                    self.seed + d as u64,
-                ),
-                panel: wf.clone(),
-                occupations: occ.as_slice().to_vec(),
-                vloc0: dom.restrict(&g, &self.v_global),
-                meta: DescentMeta {
-                    eta: DESCENT_ETA,
-                    steps: DESCENT_STEPS as u64,
-                },
-            })
-            .collect()
     }
 
     /// Assemble the global density from domain cores (DCR recombine).
@@ -719,75 +587,6 @@ mod tests {
         }
         // Panel stays orthonormal after rotation.
         assert!(wf.norm_error() < 1e-8);
-    }
-
-    #[test]
-    fn warm_scf_starts_from_published_converged_panels() {
-        use crate::fixture::{small_two_domain, SMALL_ELECTRONS, SMALL_NORB, SMALL_SEED};
-        let mut cold = small_problem();
-        cold.converge(1e-4, 25);
-        let cache = GroundStateCache::new();
-        cold.publish_ground_states(&cache);
-        assert_eq!(cache.len(), 2, "one ground state per domain");
-
-        // A warm SCF's initial panels are the cold run's converged
-        // panels, bit-for-bit — not the seeded random guess.
-        let (dd, atoms) = small_two_domain();
-        let warm = DcScf::with_warm_start(
-            dd,
-            SMALL_NORB,
-            SMALL_ELECTRONS,
-            atoms,
-            SMALL_SEED,
-            &WarmStart::InMemory(cache.clone()),
-        );
-        for (w, c) in warm.orbitals.iter().zip(&cold.orbitals) {
-            assert_eq!(w.psi.max_abs_diff(&c.psi), 0.0, "panels must be exact");
-        }
-
-        // A different seed keys a different problem: cache miss, so the
-        // warm path falls back to that seed's fresh random panels.
-        let (dd, atoms) = small_two_domain();
-        let missed = DcScf::with_warm_start(
-            dd,
-            SMALL_NORB,
-            SMALL_ELECTRONS,
-            atoms,
-            SMALL_SEED + 99,
-            &WarmStart::InMemory(cache),
-        );
-        let (dd, atoms) = small_two_domain();
-        let fresh = DcScf::new(dd, SMALL_NORB, SMALL_ELECTRONS, atoms, SMALL_SEED + 99);
-        for (m, f) in missed.orbitals.iter().zip(&fresh.orbitals) {
-            assert_eq!(m.psi.max_abs_diff(&f.psi), 0.0, "miss must equal fresh");
-        }
-    }
-
-    #[test]
-    fn scf_checkpoints_round_trip_per_domain_files() {
-        use crate::fixture::{small_two_domain, SMALL_ELECTRONS, SMALL_NORB, SMALL_SEED};
-        let mut cold = small_problem();
-        cold.converge(1e-4, 10);
-        let prefix = std::env::temp_dir().join(format!("mlmd_scf_{}.ckpt", std::process::id()));
-        let paths = cold.save_ground_states(&prefix).expect("save");
-        assert_eq!(paths.len(), 2);
-        assert!(paths[0].to_string_lossy().ends_with(".dom0"));
-
-        let (dd, atoms) = small_two_domain();
-        let warm = DcScf::with_warm_start(
-            dd,
-            SMALL_NORB,
-            SMALL_ELECTRONS,
-            atoms,
-            SMALL_SEED,
-            &WarmStart::File(prefix.clone()),
-        );
-        for (w, c) in warm.orbitals.iter().zip(&cold.orbitals) {
-            assert_eq!(w.psi.max_abs_diff(&c.psi), 0.0, "files must round-trip");
-        }
-        for p in paths {
-            let _ = std::fs::remove_file(p);
-        }
     }
 
     #[test]

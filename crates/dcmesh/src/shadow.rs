@@ -18,30 +18,33 @@
 //!   communicator when there is one), then LFD → QXMD: `Δf`, `n_exc`,
 //!   and `J` (D2H, `Norb + 4` doubles).
 //!
-//! The transfer ledger makes the amortization claim a unit-testable
-//! inequality: per MD step, bytes moved ≪ wave-function bytes, and
-//! wave-function bytes move exactly once (at initialization).
+//! The device state (ψ and the frozen potential) is plain host storage;
+//! what makes it "device-resident" is that every modeled link crossing is
+//! recorded on a [`TransferLedger`] here and nowhere else. The ledger
+//! makes the amortization claim a unit-testable inequality: per MD step,
+//! bytes moved ≪ wave-function bytes, and wave-function bytes move
+//! exactly once (at initialization). `tests/work_counts.rs` pins the
+//! exact bytes of the canonical MESH fixture.
 
 use crate::ehrenfest::{inner_loop_in, EhrenfestConfig, EhrenfestResult};
 use mlmd_lfd::occupation::Occupations;
 use mlmd_lfd::propagator::QdStep;
 use mlmd_lfd::wavefunction::WaveFunctions;
 use mlmd_numerics::vec3::Vec3;
-use mlmd_parallel::buffer::DeviceBuffer;
 use mlmd_parallel::comm::Comm;
 use mlmd_parallel::device::TransferLedger;
 use std::sync::Arc;
 
 /// Per-domain shadow-coupled LFD state.
 pub struct ShadowDomain {
-    /// GPU-resident wave functions. Modeled device storage is host memory
-    /// (as in [`DeviceBuffer`]); it is held as a panel so device-side
-    /// kernels borrow it in place, and its two link crossings
-    /// ([`Self::new`], [`Self::download_wavefunctions`]) are recorded on
-    /// the ledger here.
+    /// GPU-resident wave functions. Modeled device storage is host memory,
+    /// held as a panel so device-side kernels borrow it in place; its two
+    /// link crossings ([`Self::new`], [`Self::download_wavefunctions`])
+    /// are recorded on the ledger here.
     device_psi: WaveFunctions,
-    /// GPU-resident frozen potential.
-    device_v: DeviceBuffer<f64>,
+    /// GPU-resident frozen potential, modeled the same way: uploaded once
+    /// by [`Self::new`], then incremented by [`Self::push_delta_v`].
+    device_v: Vec<f64>,
     pub occupations: Occupations,
     pub qd: QdStep,
     pub ledger: Arc<TransferLedger>,
@@ -68,12 +71,11 @@ impl ShadowDomain {
         ledger: Arc<TransferLedger>,
     ) -> Self {
         let qd = QdStep::new(wf.grid);
-        ledger.record_alloc(wf.bytes());
         ledger.record_h2d(wf.bytes());
-        let device_v = DeviceBuffer::from_host(vloc, Arc::clone(&ledger));
+        ledger.record_h2d(std::mem::size_of_val(vloc) as u64);
         Self {
             device_psi: wf,
-            device_v,
+            device_v: vloc.to_vec(),
             occupations,
             qd,
             ledger,
@@ -90,13 +92,12 @@ impl ShadowDomain {
     /// QXMD → LFD: ship the potential change (H2D of `Ngrid` doubles).
     pub fn push_delta_v(&mut self, delta_v: &[f64]) {
         assert_eq!(delta_v.len(), self.device_v.len());
-        // Apply increment device-side after a minimal H2D of the delta.
-        // (Modeled as an upload of the delta array.)
-        let mut merged = self.device_v.device_slice().to_vec();
-        for (m, d) in merged.iter_mut().zip(delta_v) {
-            *m += d;
+        // The delta crosses the link; the increment is applied device-side.
+        self.ledger
+            .record_h2d(std::mem::size_of_val(delta_v) as u64);
+        for (v, d) in self.device_v.iter_mut().zip(delta_v) {
+            *v += d;
         }
-        self.device_v.upload(&merged);
     }
 
     /// Run one MD step's worth of device-side QD dynamics under the frozen
@@ -121,7 +122,7 @@ impl ShadowDomain {
             &self.qd,
             &mut self.device_psi,
             &self.occupations,
-            self.device_v.device_slice(),
+            &self.device_v,
             self.a,
             field,
             t0,

@@ -12,8 +12,12 @@
 //!
 //! Per-request results are bit-identical to standalone `block_evaluate`
 //! calls — aggregation changes *where* inference runs, never *what* it
-//! computes — so swapping a `ForceBatch` in for per-domain force fields
-//! cannot perturb a pinned trajectory.
+//! computes.
+//!
+//! No driver submits to a `ForceBatch` today: the MESH QXMD stage has no
+//! network term, and the NN respond stage runs on one thread. Its callers
+//! are its own tests and the benchmark's `nnqmd.force_batch_unique_ratio`
+//! probe, and it stays only while that probe does.
 //!
 //! Deadlock discipline: `expected` must equal the number of threads that
 //! actually call [`ForceBatch::submit`] each step. The rendezvous is for
@@ -25,36 +29,28 @@
 
 use crate::infer::{BlockEvalResult, ForceRequest, InferenceModel};
 use crate::model::AllegroLite;
+use mlmd_numerics::codec::Fnv64;
 use mlmd_numerics::vec3::Vec3;
-use mlmd_qxmd::atoms::{AtomsSystem, Species};
-use mlmd_qxmd::integrator::ForceField;
+use mlmd_qxmd::atoms::Species;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// FNV-1a over the raw bytes of a force request; used to deduplicate
-/// byte-identical submissions (replicated domains submit the same system).
+/// FNV hash of a force request, the cheap first test when deduplicating
+/// byte-identical submissions (replicated domains submit the same
+/// system); [`OwnedRequest::matches`] then compares full contents.
 fn request_key(species: &[Species], positions: &[Vec3], box_lengths: Vec3) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u64| {
-        for byte in b.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(species.len() as u64);
+    let mut h = Fnv64::new();
+    h.write_u64(species.len() as u64);
     for &s in species {
-        eat(s as u64);
+        h.write_u64(s as u64);
     }
-    for p in positions {
-        eat(p.x.to_bits());
-        eat(p.y.to_bits());
-        eat(p.z.to_bits());
+    for p in positions.iter().chain([&box_lengths]) {
+        h.write_f64(p.x);
+        h.write_f64(p.y);
+        h.write_f64(p.z);
     }
-    eat(box_lengths.x.to_bits());
-    eat(box_lengths.y.to_bits());
-    eat(box_lengths.z.to_bits());
-    h
+    h.finish()
 }
 
 /// An owned copy of a submitted request (the rendezvous outlives the
@@ -247,16 +243,6 @@ impl ForceBatch {
             self.cv.notify_all();
         }
         result
-    }
-}
-
-impl ForceField for ForceBatch {
-    fn accumulate(&self, sys: &mut AtomsSystem) -> f64 {
-        let res = self.submit(&sys.species, &sys.positions, sys.box_lengths);
-        for (f, r) in sys.forces.iter_mut().zip(&res.forces) {
-            *f += *r;
-        }
-        res.energy
     }
 }
 

@@ -26,12 +26,13 @@
 //!   parameters, or f32 over bf16-rounded ones
 //!   ([`model::QuantizedModel`], Sec. VI.C) under a documented,
 //!   property-tested force-accuracy envelope.
-//! * **Cross-domain batched inference** ([`batch`], [`ensemble`]): one
-//!   inference call per MD step serves every domain's force request —
-//!   a blocking rendezvous ([`batch::ForceBatch`]) for concurrent rank
-//!   threads and a lockstep driver ([`ensemble::NnMdEnsemble`]) for
-//!   serial multi-domain runs, both bit-identical per request to
-//!   standalone evaluation.
+//! * **Cross-domain batched inference** ([`ensemble`], [`batch`]): one
+//!   inference call per MD step serves every domain's force request.
+//!   The lockstep driver ([`ensemble::NnMdEnsemble`]) runs serial
+//!   multi-domain ensembles; the blocking rendezvous
+//!   ([`batch::ForceBatch`]) for concurrent rank threads has no driver
+//!   caller and is kept for the benchmark's dedup probe. Both are
+//!   bit-identical per request to standalone evaluation.
 //! * **Fidelity scaling** ([`failure`]): the time-to-failure harness
 //!   reproducing `t_failure ∝ N^{−0.14}` (Legato) vs `N^{−0.29}` (plain).
 //! * **MD force fields** ([`md`]): the network as a `ForceField` for

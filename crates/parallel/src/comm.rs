@@ -11,11 +11,10 @@
 //! of ranks (the remaining 10⁴× of Aurora is handled by `mlmd-exasim`).
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 type Payload = Box<dyn Any + Send>;
 
@@ -116,6 +115,12 @@ pub fn default_recv_stall() -> std::time::Duration {
     }
 }
 
+/// Lock a fabric or stash mutex, recovering the guard if a panicking rank
+/// poisoned it: every critical section here leaves its map consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Shared message fabric: lazily-created channels keyed by
 /// (communicator id, global source, global destination).
 struct Fabric {
@@ -146,7 +151,7 @@ impl Fabric {
     }
 
     fn record(&self, comm: u64, op: CollectiveOp, bytes: u64, wall_secs: f64) {
-        let mut stats = self.stats.lock();
+        let mut stats = lock(&self.stats);
         let entry = stats.entry((comm, op)).or_default();
         entry.ops += 1;
         entry.bytes += bytes;
@@ -154,7 +159,7 @@ impl Fabric {
     }
 
     fn stats_snapshot(&self) -> Vec<CollectiveRecord> {
-        let stats = self.stats.lock();
+        let stats = lock(&self.stats);
         let mut rows: Vec<CollectiveRecord> = stats
             .iter()
             .map(|(&(comm, op), &stats)| CollectiveRecord { comm, op, stats })
@@ -164,7 +169,7 @@ impl Fabric {
     }
 
     fn endpoint(&self, comm: u64, src: usize, dst: usize) -> Channel {
-        let mut map = self.channels.lock();
+        let mut map = lock(&self.channels);
         let (s, r) = map
             .entry((comm, src, dst))
             .or_insert_with(unbounded)
@@ -177,27 +182,27 @@ impl Fabric {
     }
 
     fn register(&self, comm: u64) {
-        *self.live.lock().entry(comm).or_insert(0) += 1;
+        *lock(&self.live).entry(comm).or_insert(0) += 1;
     }
 
     fn retire(&self, comm: u64) {
-        let mut live = self.live.lock();
+        let mut live = lock(&self.live);
         let n = live
             .get_mut(&comm)
             .expect("retired a communicator that was never registered");
         *n -= 1;
         if *n == 0 {
             live.remove(&comm);
-            self.channels.lock().retain(|&(c, _, _), _| c != comm);
+            lock(&self.channels).retain(|&(c, _, _), _| c != comm);
         }
     }
 
     fn channel_count(&self) -> usize {
-        self.channels.lock().len()
+        lock(&self.channels).len()
     }
 
     fn live_comm_count(&self) -> usize {
-        self.live.lock().len()
+        lock(&self.live).len()
     }
 }
 
@@ -334,7 +339,7 @@ impl Comm {
         let g_src = self.members[src];
         let g_dst = self.members[self.me];
         let payload = {
-            let mut stash = self.stash.lock();
+            let mut stash = lock(&self.stash);
             stash
                 .get_mut(&(g_src, tag))
                 .and_then(std::collections::VecDeque::pop_front)
@@ -345,7 +350,7 @@ impl Comm {
                 let env = match r.recv_timeout(stall) {
                     Ok(env) => env,
                     Err(err) => {
-                        let stash = self.stash.lock();
+                        let stash = lock(&self.stash);
                         let stashed: Vec<u64> = stash
                             .iter()
                             .filter(|((s, _), q)| *s == g_src && !q.is_empty())
@@ -363,8 +368,7 @@ impl Comm {
                     break env.payload;
                 }
                 // Out-of-order arrival: park it for its own recv.
-                self.stash
-                    .lock()
+                lock(&self.stash)
                     .entry((g_src, env.tag))
                     .or_default()
                     .push_back(env.payload);
@@ -1146,5 +1150,17 @@ mod tests {
             }
         });
         assert_eq!(out[1], 6.0 + 11.0 + 42.0 + 2.5);
+    }
+
+    #[test]
+    fn lock_recovers_a_poisoned_mutex() {
+        let m = Mutex::new(5);
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = m.lock().unwrap();
+            panic!("poison the mutex");
+        }));
+        assert!(m.is_poisoned());
+        *lock(&m) += 1;
+        assert_eq!(*lock(&m), 6);
     }
 }

@@ -1,33 +1,20 @@
-//! Heterogeneous-node model: CPU and GPU execution resources plus the
-//! host↔device transfer ledger.
+//! The host↔device transfer ledger.
 //!
-//! The paper's DCR paradigm maps subproblems onto
-//! "best-characteristics-matching hardware units": data-parallel LFD onto
-//! GPU, complex-chemistry QXMD onto CPU (Fig. 2b). Here a [`Device`] is a
-//! rayon pool — wide for [`DeviceKind::Gpu`] (SIMT-style data parallelism),
-//! narrow for [`DeviceKind::Cpu`] — and every modeled PCIe transfer is
-//! recorded in a [`TransferLedger`], which turns the paper's data-movement
-//! claims (shadow dynamics, GPU-resident wave functions) into testable
-//! invariants.
+//! The paper's DCR paradigm maps data-parallel LFD onto GPU and
+//! complex-chemistry QXMD onto CPU (Fig. 2b), and its shadow dynamics
+//! keeps the wave functions GPU-resident so only occupation-sized
+//! payloads cross PCIe (Secs. V.A.3, V.B.6). Device storage is modeled as
+//! host memory; every modeled transfer is recorded in a
+//! [`TransferLedger`], which turns those data-movement claims into
+//! testable byte counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Which side of the PCIe link a device models.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeviceKind {
-    Cpu,
-    Gpu,
-}
-
-/// Byte- and event-accounting of host↔device traffic.
+/// Byte accounting of host↔device traffic.
 #[derive(Debug, Default)]
 pub struct TransferLedger {
     h2d_bytes: AtomicU64,
     d2h_bytes: AtomicU64,
-    h2d_events: AtomicU64,
-    d2h_events: AtomicU64,
-    device_allocs: AtomicU64,
 }
 
 impl TransferLedger {
@@ -37,16 +24,10 @@ impl TransferLedger {
 
     pub fn record_h2d(&self, bytes: u64) {
         self.h2d_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.h2d_events.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn record_d2h(&self, bytes: u64) {
         self.d2h_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.d2h_events.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn record_alloc(&self, _bytes: u64) {
-        self.device_allocs.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn h2d_bytes(&self) -> u64 {
@@ -55,18 +36,6 @@ impl TransferLedger {
 
     pub fn d2h_bytes(&self) -> u64 {
         self.d2h_bytes.load(Ordering::Relaxed)
-    }
-
-    pub fn h2d_events(&self) -> u64 {
-        self.h2d_events.load(Ordering::Relaxed)
-    }
-
-    pub fn d2h_events(&self) -> u64 {
-        self.d2h_events.load(Ordering::Relaxed)
-    }
-
-    pub fn device_allocs(&self) -> u64 {
-        self.device_allocs.load(Ordering::Relaxed)
     }
 
     /// Total bytes crossing the link in either direction.
@@ -78,76 +47,12 @@ impl TransferLedger {
     pub fn reset(&self) {
         self.h2d_bytes.store(0, Ordering::Relaxed);
         self.d2h_bytes.store(0, Ordering::Relaxed);
-        self.h2d_events.store(0, Ordering::Relaxed);
-        self.d2h_events.store(0, Ordering::Relaxed);
-        self.device_allocs.store(0, Ordering::Relaxed);
-    }
-}
-
-/// An execution resource: a thread pool sized to caricature the hardware
-/// unit it models, plus a shared transfer ledger.
-pub struct Device {
-    kind: DeviceKind,
-    pool: rayon::ThreadPool,
-    ledger: Arc<TransferLedger>,
-}
-
-impl Device {
-    /// A CPU-like device (few threads: latency cores, complex control flow).
-    pub fn cpu(threads: usize) -> Self {
-        Self::with_kind(DeviceKind::Cpu, threads)
-    }
-
-    /// A GPU-like device (wide pool: throughput-oriented data parallelism).
-    pub fn gpu(threads: usize) -> Self {
-        Self::with_kind(DeviceKind::Gpu, threads)
-    }
-
-    fn with_kind(kind: DeviceKind, threads: usize) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads.max(1))
-            .build()
-            .expect("failed to build device pool");
-        Self {
-            kind,
-            pool,
-            ledger: Arc::new(TransferLedger::new()),
-        }
-    }
-
-    pub fn kind(&self) -> DeviceKind {
-        self.kind
-    }
-
-    pub fn threads(&self) -> usize {
-        self.pool.current_num_threads()
-    }
-
-    pub fn ledger(&self) -> Arc<TransferLedger> {
-        Arc::clone(&self.ledger)
-    }
-
-    /// Execute a kernel on this device: the closure runs inside the
-    /// device's pool, so rayon parallel iterators inside it use this pool
-    /// (the analogue of launching inside an OpenMP `target` region).
-    pub fn run<R: Send>(&self, kernel: impl FnOnce() -> R + Send) -> R {
-        self.pool.install(kernel)
-    }
-}
-
-impl std::fmt::Debug for Device {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Device")
-            .field("kind", &self.kind)
-            .field("threads", &self.threads())
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn ledger_counts() {
@@ -157,36 +62,8 @@ mod tests {
         l.record_d2h(8);
         assert_eq!(l.h2d_bytes(), 150);
         assert_eq!(l.d2h_bytes(), 8);
-        assert_eq!(l.h2d_events(), 2);
-        assert_eq!(l.d2h_events(), 1);
         assert_eq!(l.total_bytes(), 158);
         l.reset();
         assert_eq!(l.total_bytes(), 0);
-    }
-
-    #[test]
-    fn device_pool_runs_kernels() {
-        let gpu = Device::gpu(4);
-        let sum: u64 = gpu.run(|| (0..1000u64).into_par_iter().sum());
-        assert_eq!(sum, 499_500);
-        assert_eq!(gpu.kind(), DeviceKind::Gpu);
-        assert_eq!(gpu.threads(), 4);
-    }
-
-    #[test]
-    fn cpu_device_is_narrow() {
-        let cpu = Device::cpu(1);
-        assert_eq!(cpu.threads(), 1);
-        assert_eq!(cpu.kind(), DeviceKind::Cpu);
-        assert_eq!(cpu.run(|| 7), 7);
-    }
-
-    #[test]
-    fn ledger_shared_across_clones() {
-        let gpu = Device::gpu(2);
-        let l1 = gpu.ledger();
-        let l2 = gpu.ledger();
-        l1.record_h2d(10);
-        assert_eq!(l2.h2d_bytes(), 10);
     }
 }

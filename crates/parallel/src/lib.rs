@@ -2,8 +2,7 @@
 //!
 //! The parallel-hardware substrate of MLMD: a thread-backed simulated MPI
 //! (communicators, point-to-point messages, collectives, hierarchical
-//! splits) and a heterogeneous-node model (CPU/GPU execution pools with an
-//! explicit, byte-accounted host↔device transfer ledger).
+//! splits) and an explicit, byte-accounted host↔device transfer ledger.
 //!
 //! The paper's DC-MESH uses hierarchical MPI parallelization — "one MPI
 //! communicator per domain, each handled by multiple MPI ranks through
@@ -25,11 +24,9 @@
 //!   [`comm::World::run_probed`] returns alongside the rank results —
 //!   the measurement side of `mlmd-exasim`'s α/β calibration.
 //! * [`hier`] — the domain / band-space hierarchy of DC-MESH.
-//! * [`device`] — CPU and GPU execution resources (rayon pools of different
-//!   widths) plus the [`device::TransferLedger`].
-//! * [`buffer`] — [`buffer::DeviceBuffer`], the OMPallocator analogue:
-//!   GPU-resident containers with `enter data`/`exit data` lifetimes and
-//!   explicit `update to/from` transfers that hit the ledger.
+//! * [`device`] — the [`device::TransferLedger`], on which
+//!   `mlmd-dcmesh`'s shadow domain records every modeled PCIe crossing of
+//!   its device-resident wave functions and potential.
 //!
 //! # Who runs on this substrate
 //!
@@ -48,11 +45,9 @@
 //! [`comm::Comm::fabric_live_comm_count`]) exist so those suites can pin
 //! non-growth across repeated driver build/run/drop cycles.
 
-pub mod buffer;
 pub mod comm;
 pub mod device;
 pub mod hier;
 
-pub use buffer::DeviceBuffer;
 pub use comm::{CollectiveOp, CollectiveRecord, Comm, OpStats, World};
-pub use device::{Device, DeviceKind, TransferLedger};
+pub use device::TransferLedger;

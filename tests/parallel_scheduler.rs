@@ -15,7 +15,6 @@ use mlmd::numerics::grid::Grid3;
 use mlmd::numerics::matrix::Matrix;
 use mlmd::numerics::rng::{Rng64, SplitMix64};
 use mlmd::numerics::vec3::Vec3;
-use mlmd::parallel::device::Device;
 use rayon::prelude::*;
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
@@ -25,11 +24,14 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
 
 #[test]
 fn device_pool_width_survives_nesting() {
-    // A parallel region launched inside a Device kernel (the OpenMP
-    // `target`-region analogue) must see the device's width — with the old
+    // A parallel region launched inside an installed pool (the OpenMP
+    // `target`-region analogue) must see the pool's width — with the old
     // per-call shim the inner region saw full hardware width instead.
-    let gpu = Device::gpu(3);
-    let widths: Vec<usize> = gpu.run(|| {
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(3)
+        .build()
+        .unwrap();
+    let widths: Vec<usize> = pool.install(|| {
         (0..6usize)
             .into_par_iter()
             .map(|_| {
