@@ -393,6 +393,88 @@ mod tests {
         );
     }
 
+    /// A periodic Gaussian charge `q·(2πσ²)^{-3/2}·e^{−r²/2σ²}` centred in
+    /// a cubic box of side `L = n·h`, sampled with its nearest images so
+    /// the grid carries the periodic density.
+    fn periodic_gaussian(n: usize, h: f64, q: f64, sigma: f64) -> (Grid3, Vec<f64>) {
+        let grid = Grid3::cubic(n, h);
+        let l = n as f64 * h;
+        let norm = q / (2.0 * std::f64::consts::PI * sigma * sigma).powf(1.5);
+        let mut rho = vec![0.0; grid.len()];
+        for k in 0..n {
+            for j in 0..n {
+                for i in 0..n {
+                    let (x, y, z) = grid.position(i, j, k);
+                    let mut acc = 0.0;
+                    for image in 0..27 {
+                        let shift = |m: usize| (m as f64 - 1.0) * l;
+                        let dx = x - 0.5 * l - shift(image % 3);
+                        let dy = y - 0.5 * l - shift(image / 3 % 3);
+                        let dz = z - 0.5 * l - shift(image / 9);
+                        acc += (-(dx * dx + dy * dy + dz * dz) / (2.0 * sigma * sigma)).exp();
+                    }
+                    rho[grid.idx(i, j, k)] = norm * acc;
+                }
+            }
+        }
+        (grid, rho)
+    }
+
+    /// The Ewald closed form for that charge and its neutralising
+    /// background: `E_H = q²/(2σ√π) − α q²/(2L) + 2π q² σ²/L³`, the
+    /// isolated self-energy, the Madelung energy of a point charge in
+    /// jellium (α = 2.837 297 479 480 6, simple cubic) and the finite-width
+    /// term — the Ewald sum with splitting parameter η = 1/(2σ), whose
+    /// real-space remainder is of order erfc(L/2σ).
+    fn gaussian_hartree_energy(l: f64, q: f64, sigma: f64) -> f64 {
+        const MADELUNG_SC: f64 = 2.837_297_479_480_6;
+        let pi = std::f64::consts::PI;
+        q * q / (2.0 * sigma * pi.sqrt()) - MADELUNG_SC * q * q / (2.0 * l)
+            + 2.0 * pi * q * q * sigma * sigma / (l * l * l)
+    }
+
+    #[test]
+    fn fft_hartree_energy_of_a_gaussian_matches_the_ewald_closed_form() {
+        // L/2σ = 5: erfc(5) ≈ 1.5e-12, and the sampled Gaussian is
+        // band-limited to e^{−σ²(π/h)²/2} ≈ 3e-6 at the Nyquist edge.
+        let (n, h, q, sigma) = (16, 0.5, 1.0, 0.8);
+        let (grid, rho) = periodic_gaussian(n, h, q, sigma);
+        let charge = rho.iter().sum::<f64>() * grid.dv();
+        assert!((charge - q).abs() < 1e-12, "sampled charge {charge}");
+        let e = hartree_energy(&grid, &rho, &solve_fft(&grid, &rho));
+        let want = gaussian_hartree_energy(n as f64 * h, q, sigma);
+        assert!(
+            ((e - want) / want).abs() < 1e-11,
+            "E_H = {e}, closed form {want}"
+        );
+    }
+
+    /// The multigrid solves the 7-point operator, whose symbol
+    /// `Σ (2 − 2cos k_i h)/h²` is `|k|²(1 − O(k²h²))`: its Hartree energy
+    /// approaches the same closed form with error ∝ h². Fitted order over
+    /// h = L/16, L/24, L/32 on the same charge.
+    #[test]
+    fn multigrid_hartree_energy_converges_at_second_order() {
+        let (l, q, sigma) = (8.0, 1.0, 0.8);
+        let want = gaussian_hartree_energy(l, q, sigma);
+        let (mut hs, mut errs) = (Vec::new(), Vec::new());
+        for n in [16, 24, 32] {
+            let h = l / n as f64;
+            let (grid, rho) = periodic_gaussian(n, h, q, sigma);
+            let (v, cycles) = Multigrid::new(grid).solve(&rho, 1e-11, 80);
+            assert!(cycles < 80, "multigrid must converge on {n}³");
+            let e = hartree_energy(&grid, &rho, &v);
+            hs.push(h);
+            errs.push(((e - want) / want).abs());
+        }
+        let (order, _, r2) = mlmd_numerics::stats::power_law_fit(&hs, &errs);
+        assert!(
+            (order - 2.0).abs() < 0.2 && r2 > 0.999,
+            "fitted order {order} (r² {r2}), relative errors {errs:?}"
+        );
+        assert!(errs[2] < 1e-2, "finest-grid error {}", errs[2]);
+    }
+
     #[test]
     fn fft_and_multigrid_agree() {
         let grid = Grid3::cubic(16, 0.5);

@@ -19,10 +19,20 @@
 //! |---|---|---|
 //! | construction | ψ (8³ × 8 × 16) + v_loc (8³ × 8) | 0 |
 //! | each `MeshDriver::step` | Δv_loc (8³ × 8) + occupations (8 × 8) | Δf, n_exc, J ((8 + 4) × 8) |
+//!
+//! and the exact kernel work the benchmark reports as counts:
+//!
+//! | operation | count |
+//! |---|---|
+//! | GEMM flops per `MeshDriver::step` (`numerics.gemm_flops_per_mesh_step`) | 2 NAC overlaps × 8 N_orb² N_grid = 524 288 |
+//! | `Multigrid::solve` V-cycles, 8³ probe density at tol 1e-8 (`lfd.hartree_mg_cycles`) | 5 |
 
 use mlmd::core::config::PipelineConfig;
-use mlmd::core::pipeline::Pipeline;
+use mlmd::core::pipeline::{Pipeline, MESH_STAGE_EDGE};
 use mlmd::dcmesh::fixture::small_mesh_driver;
+use mlmd::lfd::hartree::Multigrid;
+use mlmd::numerics::flops::{gemm_tally, reset_gemm_tally};
+use mlmd::numerics::grid::Grid3;
 use mlmd::numerics::rng::Xoshiro256;
 use mlmd::numerics::vec3::Vec3;
 use mlmd::qxmd::thermostat::Langevin;
@@ -136,4 +146,39 @@ fn mesh_driver_ledger_bytes_are_exact() {
             "(H2D, D2H) bytes after {steps} MeshDriver::step"
         );
     }
+}
+
+#[test]
+fn mesh_driver_step_gemm_flops_are_exact() {
+    let mut driver = small_mesh_driver(0.05);
+    let (n_grid, n_orb) = (8 * 8 * 8, 8);
+    driver.step();
+    for _ in 0..2 {
+        reset_gemm_tally();
+        driver.step();
+        // The NACs' forward and backward overlaps ψ(t)†ψ(t+Δt): one
+        // complex multiply-add (8 flops) per N_orb² N_grid entry each.
+        assert_eq!(
+            gemm_tally(),
+            2 * 8 * n_orb * n_orb * n_grid,
+            "GEMM flops per MeshDriver::step"
+        );
+    }
+}
+
+#[test]
+fn hartree_probe_multigrid_cycles_are_exact() {
+    // The benchmark's `lfd.hartree_mg_cycles` probe: the MESH stage grid
+    // and its smooth zero-mean test density, solved to 1e-8.
+    let edge = MESH_STAGE_EDGE;
+    let grid = Grid3::new(edge, edge, edge, 0.5);
+    let phase = |n: usize| std::f64::consts::TAU * n as f64 / edge as f64;
+    let rho: Vec<f64> = (0..grid.len())
+        .map(|g| {
+            let (i, j, k) = grid.coords(g);
+            0.1 * (phase(i).cos() + phase(j).sin() * phase(k).cos())
+        })
+        .collect();
+    let (_, cycles) = Multigrid::new(grid).solve(&rho, 1e-8, 50);
+    assert_eq!(cycles, 5, "V-cycles to tol 1e-8 on the 8³ probe");
 }
