@@ -577,6 +577,36 @@ mod tests {
     }
 
     #[test]
+    fn global_potential_has_all_parts() {
+        let g = Grid3::new(12, 12, 12, 0.5);
+        let atoms = [AtomSite {
+            pos: Vec3::new(3.0, 3.0, 3.0),
+            z_eff: 2.0,
+            sigma: 0.7,
+        }];
+        // A blob of density on the atom.
+        let rho: Vec<f64> = (0..g.len())
+            .map(|idx| {
+                let (i, j, k) = g.coords(idx);
+                let (x, y, z) = g.position(i, j, k);
+                2.0 * (-(Vec3::new(x, y, z) - atoms[0].pos).norm_sqr()).exp()
+            })
+            .collect();
+        let v = assemble_global_potential(&g, &rho, &atoms);
+        let v_ion = ionic_potential(&g, &atoms);
+        let (v_h, _) = Multigrid::new(g).solve(&rho, MG_TOL, MG_CYCLES);
+        let mut v_xc = vec![0.0; g.len()];
+        xc::vx_lda(&rho, &mut v_xc);
+        assert!(v_ion.iter().all(|&x| x <= 0.0));
+        assert!(v_xc.iter().all(|&x| x <= 0.0));
+        // Hartree of a localized positive blob is positive at its center.
+        assert!(v_h[g.idx(6, 6, 6)] > 0.0);
+        for idx in 0..g.len() {
+            assert_eq!(v[idx], v_ion[idx] + v_h[idx] + v_xc[idx]);
+        }
+    }
+
+    #[test]
     fn subspace_rotation_sorts_energies() {
         let grid = Grid3::new(8, 8, 8, 0.5);
         let vloc = vec![0.0; grid.len()];

@@ -102,10 +102,10 @@ impl DcMeshModel {
             nlp: 16.0 * g * o * o,
             // Nonlocal corrections to energy and current (Sec. V.B.5).
             obs: 32.0 * g * o * o,
-            // Löwdin/Gram–Schmidt every QD step: overlap + panel update,
+            // Orthonormalization every QD step: overlap + panel update,
             // applied twice per time-reversible step.
             ortho: 32.0 * g * o * o,
-            // Local phases, density, current stencils, Hartree-DSA
+            // Local phases, density, current stencils, Hartree
             // refresh: streaming passes over grid × orbitals.
             local: 40.0 * g * o,
         }

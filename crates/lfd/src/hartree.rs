@@ -1,19 +1,18 @@
 //! Hartree (Poisson) solvers: `∇²V_H = −4πρ` with periodic boundaries.
 //!
-//! Three solvers mirror the paper's "globally scalable and locally fast"
+//! Two solvers mirror the paper's "globally scalable and locally fast"
 //! stack (Sec. V.A.2):
 //!
-//! * [`solve_fft`] — spectral solver (the "locally fast" FFT tier used
-//!   inside each DC domain);
+//! * [`solve_fft`] — spectral solver (the "locally fast" FFT tier; the
+//!   self-consistent Ehrenfest loop refreshes its Hartree term with it);
 //! * [`Multigrid`] — geometric V-cycle with red–black Gauss–Seidel
-//!   smoothing (the "O(N) tree-based multigrid", globally sparse tier used
-//!   for the global KS potential);
-//! * [`solve_dsa`] — damped second-order Richardson iteration, the
-//!   dynamical-simulated-annealing solver of Car–Parrinello (ref \[42\]).
+//!   smoothing (the "O(N) tree-based multigrid", globally sparse tier the
+//!   DC-SCF uses for the global KS potential).
 //!
-//! Periodic Poisson problems are only solvable for neutral sources, so all
-//! solvers internally subtract the mean of `ρ` (the uniform compensating
-//! background of a periodic solid) and return a zero-mean potential.
+//! Periodic Poisson problems are only solvable for neutral sources, so both
+//! solvers subtract the mean of `ρ` (the uniform compensating background
+//! of a periodic solid) and return a zero-mean potential. The tests hold
+//! both to the Ewald closed form for a periodic Gaussian charge.
 
 use mlmd_numerics::complex::c64;
 use mlmd_numerics::fft::Fft3d;
@@ -72,15 +71,17 @@ pub fn solve_fft(grid: &Grid3, rho: &[f64]) -> Vec<f64> {
 // Note: the spectral Laplacian (exact for the continuum operator) and the
 // 7-point FD Laplacian differ at O(h²); `residual_rms` measures against
 // the FD operator, so the FFT solution has a small but nonzero FD
-// residual. Multigrid and DSA solve the FD operator exactly.
+// residual. Multigrid solves the FD operator exactly.
 
 /// Geometric multigrid V-cycle solver for the 7-point FD Poisson problem.
 pub struct Multigrid {
     levels: Vec<Grid3>,
-    pub pre_smooth: usize,
-    pub post_smooth: usize,
-    pub coarse_iters: usize,
 }
+
+/// Gauss–Seidel sweeps before and after each coarse-grid correction.
+const SMOOTH_SWEEPS: usize = 3;
+/// Gauss–Seidel sweeps that stand in for the coarsest-level solve.
+const COARSE_SWEEPS: usize = 60;
 
 impl Multigrid {
     /// Build a hierarchy by halving while all dims stay even and ≥ 4.
@@ -100,12 +101,7 @@ impl Multigrid {
                 break;
             }
         }
-        Self {
-            levels,
-            pre_smooth: 3,
-            post_smooth: 3,
-            coarse_iters: 60,
-        }
+        Self { levels }
     }
 
     pub fn depth(&self) -> usize {
@@ -147,12 +143,12 @@ impl Multigrid {
     fn v_cycle(&self, level: usize, v: &mut [f64], f: &[f64]) {
         let g = self.levels[level];
         if level + 1 == self.levels.len() {
-            for _ in 0..self.coarse_iters {
+            for _ in 0..COARSE_SWEEPS {
                 self.gauss_seidel(level, v, f);
             }
             return;
         }
-        for _ in 0..self.pre_smooth {
+        for _ in 0..SMOOTH_SWEEPS {
             self.gauss_seidel(level, v, f);
         }
         let r = self.residual(level, v, f);
@@ -165,7 +161,7 @@ impl Multigrid {
         subtract_mean(&mut fc);
         self.v_cycle(level + 1, &mut ec, &fc);
         prolong_add(&coarse, &g, &ec, v);
-        for _ in 0..self.post_smooth {
+        for _ in 0..SMOOTH_SWEEPS {
             self.gauss_seidel(level, v, f);
         }
     }
@@ -235,39 +231,6 @@ fn prolong_add(coarse: &Grid3, fine: &Grid3, e: &[f64], v: &mut [f64]) {
             }
         }
     }
-}
-
-/// Dynamical-simulated-annealing (damped dynamics) solver: second-order
-/// Richardson / heavy-ball iteration on the FD residual.
-///
-/// Returns (V, iterations used).
-pub fn solve_dsa(grid: &Grid3, rho: &[f64], tol: f64, max_iters: usize) -> (Vec<f64>, usize) {
-    assert_eq!(rho.len(), grid.len());
-    let mut f: Vec<f64> = rho.iter().map(|&r| FOUR_PI * r).collect();
-    subtract_mean(&mut f);
-    let mut v = vec![0.0; grid.len()];
-    let mut u = vec![0.0; grid.len()];
-    let mut lap = vec![0.0; grid.len()];
-    // Stability: explicit step for ∇² needs τ ≤ h²/6; damping γ < 1.
-    let tau = grid.h * grid.h / 6.5;
-    let gamma = 0.92;
-    let f_norm = f.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-300);
-    for it in 1..=max_iters {
-        laplacian(grid, &v, &mut lap, Order::Second);
-        let mut r_norm = 0.0;
-        for idx in 0..grid.len() {
-            let r = lap[idx] + f[idx];
-            r_norm += r * r;
-            u[idx] = gamma * u[idx] + tau * r;
-            v[idx] += u[idx];
-        }
-        if r_norm.sqrt() / f_norm < tol {
-            subtract_mean(&mut v);
-            return (v, it);
-        }
-    }
-    subtract_mean(&mut v);
-    (v, max_iters)
 }
 
 /// Hartree energy `E_H = ½ ∫ ρ V_H dV`.
@@ -340,17 +303,6 @@ mod tests {
         // FD discretization error is O(h²) ≈ (k h)²/12 relative.
         let scale = v_exact.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
         assert!(max_err(&v, &v_exact) / scale < 0.05);
-    }
-
-    #[test]
-    fn dsa_converges_to_same_answer_as_multigrid() {
-        let grid = Grid3::cubic(8, 0.6);
-        let (rho, _) = cosine_source(&grid);
-        let mg = Multigrid::new(grid);
-        let (v_mg, _) = mg.solve(&rho, 1e-10, 80);
-        let (v_dsa, iters) = solve_dsa(&grid, &rho, 1e-9, 20_000);
-        assert!(iters < 20_000, "DSA must converge");
-        assert!(max_err(&v_mg, &v_dsa) < 1e-5);
     }
 
     #[test]

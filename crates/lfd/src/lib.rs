@@ -17,15 +17,14 @@
 //! * [`nlp_prop`] — GEMMified nonlocal correction: paper Eq. (5) projector
 //!   form and Kleinman–Bylander separable pseudopotentials, with
 //!   parameterized FP64/FP32/BF16-split precision (Secs. V.B.5, V.B.7).
-//! * [`hartree`] — Poisson solvers: spectral FFT, geometric multigrid
-//!   ("globally sparse" tier of GSLF, Sec. V.A.2), and damped-dynamics DSA
-//!   (ref \[42\]).
+//! * [`hartree`] — Poisson solvers: spectral FFT and geometric multigrid
+//!   ("globally sparse" tier of GSLF, Sec. V.A.2).
 //! * [`xc`] — LDA (Slater) exchange.
 //! * [`density`] / [`current`] — occupation-weighted density and TDCDFT
 //!   macroscopic current (feeds Maxwell's equations, Sec. V.B.5).
 //! * [`occupation`] — occupation numbers `f_s ∈ \[0,1\]`, the small-dynamic-
 //!   range handshake payload of shadow dynamics (Sec. V.A.3).
-//! * [`potential`] — local ionic + Hartree + xc potential assembly.
+//! * [`potential`] — the ionic pseudo-wells of the local potential.
 //! * [`propagator`] — the full split-operator QD step and the
 //!   self-consistent time-reversible loop (ref \[43\]).
 

@@ -1,13 +1,11 @@
-//! Local Kohn–Sham potential assembly: `v_loc = v_ion + v_H + v_xc`.
+//! The ionic part of the local Kohn–Sham potential.
 //!
-//! The ionic part uses soft Gaussian pseudo-wells (the local channel of a
-//! norm-conserving pseudopotential, regularized at the origin); Hartree
-//! comes from the solvers in [`crate::hartree`]; exchange from
-//! [`crate::xc`]. The *change* `Δv_loc` between MD steps is the quantity
-//! the shadow-dynamics handshake ships from QXMD to LFD (paper Sec. A.4).
+//! Soft Gaussian pseudo-wells: the local channel of a norm-conserving
+//! pseudopotential, regularized at the origin. The MESH driver's frozen
+//! potential is this term alone; the DC-SCF's global potential adds the
+//! multigrid Hartree term ([`crate::hartree`]) and LDA exchange
+//! ([`crate::xc`]) to it in one place, `mlmd_dcmesh::scf`.
 
-use crate::hartree;
-use crate::xc;
 use mlmd_numerics::grid::Grid3;
 use mlmd_numerics::vec3::Vec3;
 
@@ -41,60 +39,6 @@ pub fn ionic_potential(grid: &Grid3, atoms: &[AtomSite]) -> Vec<f64> {
         }
     }
     v
-}
-
-/// Which Hartree solver assembles the potential.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HartreeSolver {
-    Fft,
-    Multigrid,
-    Dsa,
-}
-
-/// The assembled local potential and its parts (kept for diagnostics and
-/// energy bookkeeping).
-#[derive(Clone, Debug)]
-pub struct LocalPotential {
-    pub v_ion: Vec<f64>,
-    pub v_h: Vec<f64>,
-    pub v_xc: Vec<f64>,
-    pub total: Vec<f64>,
-}
-
-impl LocalPotential {
-    /// Assemble from a density and atom list.
-    pub fn assemble(grid: &Grid3, rho: &[f64], atoms: &[AtomSite], solver: HartreeSolver) -> Self {
-        let v_ion = ionic_potential(grid, atoms);
-        let v_h = match solver {
-            HartreeSolver::Fft => hartree::solve_fft(grid, rho),
-            HartreeSolver::Multigrid => hartree::Multigrid::new(*grid).solve(rho, 1e-7, 30).0,
-            HartreeSolver::Dsa => hartree::solve_dsa(grid, rho, 1e-7, 10_000).0,
-        };
-        let mut v_xc = vec![0.0; grid.len()];
-        xc::vx_lda(rho, &mut v_xc);
-        let total = v_ion
-            .iter()
-            .zip(&v_h)
-            .zip(&v_xc)
-            .map(|((a, b), c)| a + b + c)
-            .collect();
-        Self {
-            v_ion,
-            v_h,
-            v_xc,
-            total,
-        }
-    }
-
-    /// Pointwise difference `Δv = other.total − self.total` — the shadow
-    /// handshake payload from QXMD to LFD.
-    pub fn delta(&self, other: &LocalPotential) -> Vec<f64> {
-        self.total
-            .iter()
-            .zip(&other.total)
-            .map(|(a, b)| b - a)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -158,89 +102,5 @@ mod tests {
         for i in 0..g.len() {
             assert!((v12[i] - v1[i] - v2[i]).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn assembled_potential_has_all_parts() {
-        let g = grid();
-        let atoms = [AtomSite {
-            pos: Vec3::new(3.0, 3.0, 3.0),
-            z_eff: 2.0,
-            sigma: 0.7,
-        }];
-        // A blob of density near the atom.
-        let mut rho = vec![0.0; g.len()];
-        for k in 0..g.nz {
-            for j in 0..g.ny {
-                for i in 0..g.nx {
-                    let (x, y, z) = g.position(i, j, k);
-                    let d2 = (Vec3::new(x, y, z) - atoms[0].pos).norm_sqr();
-                    rho[g.idx(i, j, k)] = 2.0 * (-d2).exp();
-                }
-            }
-        }
-        let pot = LocalPotential::assemble(&g, &rho, &atoms, HartreeSolver::Fft);
-        assert!(pot.v_ion.iter().all(|&x| x <= 0.0));
-        assert!(pot.v_xc.iter().all(|&x| x <= 0.0));
-        // Hartree of a localized positive blob is positive at its center.
-        assert!(pot.v_h[g.idx(6, 6, 6)] > 0.0);
-        for i in 0..g.len() {
-            let sum = pot.v_ion[i] + pot.v_h[i] + pot.v_xc[i];
-            assert!((pot.total[i] - sum).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn delta_v_is_the_difference() {
-        let g = grid();
-        let atoms1 = [AtomSite {
-            pos: Vec3::new(3.0, 3.0, 3.0),
-            z_eff: 2.0,
-            sigma: 0.7,
-        }];
-        let atoms2 = [AtomSite {
-            pos: Vec3::new(3.2, 3.0, 3.0),
-            z_eff: 2.0,
-            sigma: 0.7,
-        }];
-        let rho = vec![0.01; g.len()];
-        let p1 = LocalPotential::assemble(&g, &rho, &atoms1, HartreeSolver::Fft);
-        let p2 = LocalPotential::assemble(&g, &rho, &atoms2, HartreeSolver::Fft);
-        let dv = p1.delta(&p2);
-        // Moving the atom changes the potential somewhere…
-        assert!(dv.iter().any(|&x| x.abs() > 1e-6));
-        // …and the delta reconstructs p2 from p1.
-        for (i, &d) in dv.iter().enumerate().take(g.len()) {
-            assert!((p1.total[i] + d - p2.total[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn solvers_agree_on_assembled_hartree() {
-        let g = Grid3::new(8, 8, 8, 0.6);
-        let atoms = [AtomSite {
-            pos: Vec3::new(2.0, 2.0, 2.0),
-            z_eff: 1.0,
-            sigma: 0.6,
-        }];
-        let mut rho = vec![0.0; g.len()];
-        for k in 0..g.nz {
-            for j in 0..g.ny {
-                for i in 0..g.nx {
-                    let (x, y, z) = g.position(i, j, k);
-                    let d2 = (Vec3::new(x, y, z) - atoms[0].pos).norm_sqr();
-                    rho[g.idx(i, j, k)] = (-d2 / 0.5).exp();
-                }
-            }
-        }
-        let p_mg = LocalPotential::assemble(&g, &rho, &atoms, HartreeSolver::Multigrid);
-        let p_dsa = LocalPotential::assemble(&g, &rho, &atoms, HartreeSolver::Dsa);
-        let worst = p_mg
-            .v_h
-            .iter()
-            .zip(&p_dsa.v_h)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f64, f64::max);
-        assert!(worst < 1e-4, "MG and DSA disagree by {worst}");
     }
 }

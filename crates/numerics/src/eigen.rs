@@ -1,10 +1,10 @@
 //! Jacobi eigensolvers for real symmetric and complex Hermitian matrices.
 //!
-//! DC-MESH needs small dense diagonalizations in the KS-orbital subspace
-//! (Norb ≤ ~1k per domain): adiabatic states for surface hopping, Löwdin
-//! orthonormalization, and subspace rotations in the SCF. Cyclic Jacobi is
-//! simple, unconditionally stable, and embarrassingly accurate for these
-//! sizes.
+//! The stack needs small dense diagonalizations: the KS-orbital subspace
+//! (Norb ≤ ~1k per domain) in the Rayleigh–Ritz rotations of the SCF and
+//! ground-state solves, and the open-chain spectra behind the Floquet
+//! sweep's edge-state score. Cyclic Jacobi is simple, unconditionally
+//! stable, and embarrassingly accurate for these sizes.
 
 use crate::complex::c64;
 use crate::matrix::Matrix;

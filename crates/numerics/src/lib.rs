@@ -24,7 +24,7 @@
 //! * [`grid`] — 3-D finite-difference grid descriptors.
 //! * [`stencil`] — finite-difference operators (Laplacian, gradient).
 //! * [`eigen`] — Jacobi eigensolvers (real symmetric, complex Hermitian).
-//! * [`ortho`] — Gram–Schmidt / Löwdin orthonormalization.
+//! * [`ortho`] — modified Gram–Schmidt orthonormalization.
 //! * [`rng`] — deterministic counter-based RNG (SplitMix64, Xoshiro256**).
 //! * [`vec3`] — 3-vectors for atomistic modules.
 //! * [`stats`] — summary statistics and least-squares fits used by the

@@ -1,14 +1,11 @@
 //! Orthonormalization of orbital panels.
 //!
-//! The self-consistent, time-reversible propagation of DC-MESH (paper
-//! Sec. A.5, ref \[43\]) keeps the KS orbitals orthonormal; modified
-//! Gram–Schmidt is the workhorse, Löwdin (symmetric) orthonormalization is
-//! used where basis democracy matters (it perturbs all orbitals equally,
-//! preserving subspace character between QD steps).
+//! Modified Gram–Schmidt keeps the KS orbital panels orthonormal: after
+//! every descent sweep of the SCF and ground-state solves, and on the
+//! seeded random panels they start from.
 
 use crate::cgemm::overlap;
-use crate::complex::{c64, Complex};
-use crate::eigen::eigh_hermitian;
+use crate::complex::c64;
 use crate::matrix::Matrix;
 
 /// In-place modified Gram–Schmidt over the columns of `psi`.
@@ -56,29 +53,6 @@ fn columns_pair_mut(psi: &mut Matrix<c64>, p: usize, j: usize, m: usize) -> (&[c
     (&head[p * m..(p + 1) * m], &mut tail[..m])
 }
 
-/// Löwdin orthonormalization: `Ψ ← Ψ S^{-1/2}` with `S = Ψ†Ψ`.
-pub fn lowdin(psi: &mut Matrix<c64>) {
-    let n = psi.cols();
-    let mut s = Matrix::<c64>::zeros(n, n);
-    overlap(c64::one(), psi, psi, c64::zero(), &mut s);
-    let e = eigh_hermitian(&s);
-    // S^{-1/2} = V diag(λ^{-1/2}) V†
-    let mut s_inv_half = Matrix::<c64>::zeros(n, n);
-    for j in 0..n {
-        for i in 0..n {
-            let mut acc = c64::zero();
-            for k in 0..n {
-                let lam = e.values[k].max(1e-300);
-                acc +=
-                    e.vectors[(i, k)] * e.vectors[(j, k)].conj() * Complex::real(1.0 / lam.sqrt());
-            }
-            s_inv_half[(i, j)] = acc;
-        }
-    }
-    let psi_old = psi.clone();
-    crate::gemm::gemm_blocked(c64::one(), &psi_old, &s_inv_half, c64::zero(), psi);
-}
-
 /// Max deviation of `Ψ†Ψ` from identity; testing/diagnostic helper.
 pub fn orthonormality_error(psi: &Matrix<c64>) -> f64 {
     let n = psi.cols();
@@ -123,23 +97,6 @@ mod tests {
         for (a, b) in psi.col(0).iter().zip(&first) {
             assert!((*a - b.scale(1.0 / norm)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn lowdin_orthonormalizes() {
-        let mut psi = random_panel(60, 6, 3);
-        lowdin(&mut psi);
-        assert!(orthonormality_error(&psi) < 1e-9);
-    }
-
-    #[test]
-    fn lowdin_is_gentle_on_nearly_orthonormal_input() {
-        // For an already-orthonormal panel, Löwdin is the identity.
-        let mut psi = random_panel(40, 5, 4);
-        gram_schmidt(&mut psi);
-        let before = psi.clone();
-        lowdin(&mut psi);
-        assert!(psi.max_abs_diff(&before) < 1e-9);
     }
 
     #[test]

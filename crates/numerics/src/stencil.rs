@@ -3,7 +3,7 @@
 //! Second-order 7-point and fourth-order 13-point Laplacians with periodic
 //! boundaries, plus central-difference gradients. These are the "sparse
 //! stencil operations with strided data access" of paper Sec. V.B.2 and the
-//! building blocks of the multigrid/DSA Hartree solvers; the ~3%-of-peak
+//! building blocks of the multigrid Hartree solver; the ~3%-of-peak
 //! arithmetic intensity the paper quotes for 7-point stencils (ref \[59\]) is
 //! what the Table V kin_prop/CGEMM contrast illustrates.
 

@@ -39,15 +39,6 @@ impl Species {
             Species::O => "O",
         }
     }
-
-    /// Born effective charge proxy used by the polarization estimate (|e|).
-    pub fn born_charge(self) -> f64 {
-        match self {
-            Species::Pb => 3.9,
-            Species::Ti => 7.1,
-            Species::O => -3.7,
-        }
-    }
 }
 
 /// The mutable state of an MD run.

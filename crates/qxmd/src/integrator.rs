@@ -21,32 +21,9 @@ pub trait ForceField {
     }
 }
 
-impl ForceField for crate::pair::Buckingham {
-    fn accumulate(&self, sys: &mut AtomsSystem) -> f64 {
-        crate::pair::Buckingham::accumulate(self, sys)
-    }
-}
-
 impl ForceField for crate::ferro::FerroModel {
     fn accumulate(&self, sys: &mut AtomsSystem) -> f64 {
         crate::ferro::FerroModel::accumulate(self, sys)
-    }
-}
-
-/// Sum of force-field terms (e.g. ferroelectric model + short-range guard).
-pub struct Composite {
-    pub terms: Vec<Box<dyn ForceField + Send + Sync>>,
-}
-
-impl Composite {
-    pub fn new(terms: Vec<Box<dyn ForceField + Send + Sync>>) -> Self {
-        Self { terms }
-    }
-}
-
-impl ForceField for Composite {
-    fn accumulate(&self, sys: &mut AtomsSystem) -> f64 {
-        self.terms.iter().map(|t| t.accumulate(sys)).sum()
     }
 }
 
@@ -288,22 +265,6 @@ mod tests {
         for (a, b) in whole.velocities.iter().zip(&split.velocities) {
             assert_eq!(a.y.to_bits(), b.y.to_bits());
         }
-    }
-
-    #[test]
-    fn composite_sums_terms() {
-        let mut sys = oscillator();
-        let single = Harmonic { k: 4.0 };
-        let composite = Composite::new(vec![
-            Box::new(Harmonic { k: 1.0 }),
-            Box::new(Harmonic { k: 3.0 }),
-        ]);
-        let e1 = single.compute(&mut sys.clone());
-        let mut sys2 = sys.clone();
-        let e2 = composite.compute(&mut sys2);
-        assert!((e1 - e2).abs() < 1e-14);
-        single.compute(&mut sys);
-        assert!((sys.forces[0] - sys2.forces[0]).norm() < 1e-14);
     }
 
     #[test]

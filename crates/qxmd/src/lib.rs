@@ -5,11 +5,10 @@
 //! surface hopping) that drives longer-time structural response.
 //!
 //! The PbTiO3 substrate is an *effective ferroelectric lattice model*,
-//! standing in for first-principles QXMD forces: Buckingham short-range
-//! repulsion between all atoms plus a double-well energy on the Ti
-//! off-centering vector `u` with ferroelectric nearest-neighbour
-//! coupling — the minimal Hamiltonian that hosts polar topological
-//! textures. Photoexcitation
+//! standing in for first-principles QXMD forces: a double-well energy on
+//! the Ti off-centering vector `u` with ferroelectric nearest-neighbour
+//! coupling, plus harmonic tethers holding the Pb/O cage — the minimal
+//! Hamiltonian that hosts polar topological textures. Photoexcitation
 //! flattens the double well proportionally to the excitation density
 //! (the mechanism established in ref \[11\]), which is what makes
 //! light-induced switching possible.
@@ -18,14 +17,14 @@
 //!   forces, species, periodic box).
 //! * [`perovskite`] — PbTiO3 supercell builder with polar displacement
 //!   textures.
-//! * [`neighbor`] — O(N) cell-list neighbor search.
-//! * [`pair`] — Buckingham pair potential.
+//! * [`neighbor`] — O(N) cell-list neighbor search (for the NNQMD
+//!   descriptors).
 //! * [`ferro`] — the ferroelectric double-well model, ground and excited
 //!   state variants.
 //! * [`integrator`] — velocity Verlet NVE driver over a [`ForceField`].
 //! * [`md_stage`] — self-contained MD stage (integrator + thermostat +
 //!   RNG stream) in the no-argument driver shape the engine layer steps.
-//! * [`thermostat`] — Berendsen and Langevin thermostats.
+//! * [`thermostat`] — the Langevin thermostat.
 //! * [`nac`] — nonadiabatic couplings from orbital overlaps.
 //! * [`hopping`] — surface hopping as occupation kinetics (master
 //!   equation with detailed balance), the `Û_SH` of paper Eq. (2).
@@ -50,7 +49,6 @@ pub mod integrator;
 pub mod md_stage;
 pub mod nac;
 pub mod neighbor;
-pub mod pair;
 pub mod perovskite;
 pub mod thermostat;
 

@@ -1,9 +1,9 @@
 //! O(N) cell-list neighbor search for periodic orthorhombic boxes.
 //!
-//! Shared by the Buckingham pair potential (QXMD) and the Allegro-lite
-//! descriptors (XS-NNQMD, cutoff 5.2 Å per paper Sec. VII.A.2). Builds
-//! half-lists (each pair once, `i < j` convention by construction of cell
-//! scan order) or full per-atom lists as needed.
+//! The neighbour search of the Allegro-lite descriptors (XS-NNQMD, cutoff
+//! 5.2 Å per paper Sec. VII.A.2). Builds half-lists (each pair once, `i < j`
+//! convention by construction of cell scan order) and the full per-atom
+//! lists the inference kernel reads.
 
 use mlmd_numerics::vec3::Vec3;
 

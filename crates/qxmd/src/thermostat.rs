@@ -1,40 +1,12 @@
-//! Thermostats: Berendsen velocity rescaling and Langevin dynamics.
+//! The Langevin thermostat.
 //!
-//! QXMD prepares thermal states (e.g. the 300 K skyrmion superlattice of
-//! the Fig. 3 workflow) before the NVE photo-response runs.
+//! The pipeline's MD stages run under it: the prepare stage equilibrates
+//! the skyrmion superlattice of the Fig. 3 workflow, and the respond stage
+//! drains the photo-response into a cold bath.
 
 use crate::atoms::{AtomsSystem, Species, KB_EV, MASS_TIME_UNIT};
 use mlmd_numerics::rng::Rng64;
 use mlmd_numerics::vec3::Vec3;
-
-/// Berendsen weak-coupling thermostat: velocities are rescaled toward the
-/// target temperature with time constant `tau` (fs).
-#[derive(Clone, Copy, Debug)]
-pub struct Berendsen {
-    pub t_target: f64,
-    pub tau: f64,
-}
-
-impl Berendsen {
-    pub fn new(t_target: f64, tau: f64) -> Self {
-        assert!(t_target >= 0.0 && tau > 0.0);
-        Self { t_target, tau }
-    }
-
-    /// Apply after each MD step of size `dt`.
-    pub fn apply(&self, sys: &mut AtomsSystem, dt: f64) {
-        let t_now = sys.temperature();
-        if t_now <= 0.0 {
-            return;
-        }
-        let lambda = (1.0 + dt / self.tau * (self.t_target / t_now - 1.0))
-            .max(0.0)
-            .sqrt();
-        for v in &mut sys.velocities {
-            *v *= lambda;
-        }
-    }
-}
 
 /// Langevin (stochastic) thermostat: friction + matched random kicks,
 /// applied as an operator-split impulse after the deterministic step.
@@ -81,31 +53,6 @@ mod tests {
 
     fn gas(n: usize) -> AtomsSystem {
         AtomsSystem::new(vec![Species::O; n], vec![Vec3::ZERO; n], Vec3::splat(100.0))
-    }
-
-    #[test]
-    fn berendsen_heats_cold_system() {
-        let mut sys = gas(200);
-        let mut rng = Xoshiro256::new(1);
-        sys.thermalize(100.0, &mut rng);
-        let thermo = Berendsen::new(300.0, 10.0);
-        for _ in 0..2000 {
-            thermo.apply(&mut sys, 0.5);
-        }
-        let t = sys.temperature();
-        assert!((t - 300.0).abs() < 15.0, "T = {t}");
-    }
-
-    #[test]
-    fn berendsen_cools_hot_system() {
-        let mut sys = gas(200);
-        let mut rng = Xoshiro256::new(2);
-        sys.thermalize(900.0, &mut rng);
-        let thermo = Berendsen::new(300.0, 5.0);
-        for _ in 0..2000 {
-            thermo.apply(&mut sys, 0.5);
-        }
-        assert!((sys.temperature() - 300.0).abs() < 15.0);
     }
 
     /// A gas of `per_species` atoms of each species, at rest.
@@ -218,21 +165,6 @@ mod tests {
                 "C(γτ = {}) = {got}, want {want} ± {tol}",
                 gamma * lag as f64 * dt
             );
-        }
-    }
-
-    #[test]
-    fn langevin_fluctuates_but_berendsen_is_deterministic() {
-        let mut a = gas(50);
-        let mut b = a.clone();
-        let mut rng = Xoshiro256::new(4);
-        a.thermalize(300.0, &mut rng);
-        b.velocities = a.velocities.clone();
-        let ber = Berendsen::new(300.0, 10.0);
-        ber.apply(&mut a, 0.5);
-        ber.apply(&mut b, 0.5);
-        for (va, vb) in a.velocities.iter().zip(&b.velocities) {
-            assert_eq!(va, vb);
         }
     }
 }
