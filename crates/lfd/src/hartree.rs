@@ -352,6 +352,8 @@ mod tests {
         let grid = Grid3::cubic(n, h);
         let l = n as f64 * h;
         let norm = q / (2.0 * std::f64::consts::PI * sigma * sigma).powf(1.5);
+        // Offset from the centre to image column m ∈ {0, 1, 2} of the 3³ block.
+        let shift = |m: usize| (m as f64 - 1.0) * l;
         let mut rho = vec![0.0; grid.len()];
         for k in 0..n {
             for j in 0..n {
@@ -359,7 +361,6 @@ mod tests {
                     let (x, y, z) = grid.position(i, j, k);
                     let mut acc = 0.0;
                     for image in 0..27 {
-                        let shift = |m: usize| (m as f64 - 1.0) * l;
                         let dx = x - 0.5 * l - shift(image % 3);
                         let dy = y - 0.5 * l - shift(image / 3 % 3);
                         let dz = z - 0.5 * l - shift(image / 9);

@@ -156,7 +156,8 @@ mod tests {
         assert!(drift / e_scale < 1e-3, "drift {drift}");
     }
 
-    /// Largest |E(t) − E(0)| over `steps` Verlet steps of `dt` from `sys`.
+    /// E(0) and the largest |E(t) − E(0)| over `steps` Verlet steps of
+    /// `dt` from `sys`.
     fn worst_energy_error(
         mut sys: AtomsSystem,
         ff: &impl ForceField,
