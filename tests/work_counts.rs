@@ -25,12 +25,14 @@
 //! | operation | count |
 //! |---|---|
 //! | GEMM flops per `MeshDriver::step` (`numerics.gemm_flops_per_mesh_step`) | 2 NAC overlaps × 8 N_orb² N_grid = 524 288 |
+//! | QD flops per `MeshDriver::step` (`shadow.qd.flops`) | n_qd × (2 · 6 N_grid N_orb + `flops_per_steps(N_orb, 1)`) |
 //! | `Multigrid::solve` V-cycles, 8³ probe density at tol 1e-8 (`lfd.hartree_mg_cycles`) | 5 |
 
 use mlmd::core::config::PipelineConfig;
 use mlmd::core::pipeline::{Pipeline, MESH_STAGE_EDGE};
 use mlmd::dcmesh::fixture::small_mesh_driver;
 use mlmd::lfd::hartree::Multigrid;
+use mlmd::lfd::propagator::FLOPS_PER_VLOC_POINT;
 use mlmd::numerics::flops::{gemm_tally, reset_gemm_tally};
 use mlmd::numerics::grid::Grid3;
 use mlmd::numerics::rng::Xoshiro256;
@@ -162,6 +164,26 @@ fn mesh_driver_step_gemm_flops_are_exact() {
             gemm_tally(),
             2 * 8 * n_orb * n_orb * n_grid,
             "GEMM flops per MeshDriver::step"
+        );
+    }
+}
+
+#[test]
+fn mesh_driver_step_qd_flops_are_exact() {
+    let mut driver = small_mesh_driver(0.05);
+    let (n_grid, n_orb) = (8 * 8 * 8u64, 8);
+    let n_qd = driver.config.ehrenfest.n_qd as u64;
+    // Per QD step: two half-step local phases and one symmetric kinetic
+    // step over the whole panel — the accounting the cost model reads.
+    let per_qd_step = 2 * FLOPS_PER_VLOC_POINT * n_grid * n_orb as u64
+        + driver.shadow.qd.kin.flops_per_steps(n_orb, 1);
+    for _ in 0..2 {
+        let before = driver.shadow.qd.flops.total();
+        driver.step();
+        assert_eq!(
+            driver.shadow.qd.flops.total() - before,
+            n_qd * per_qd_step,
+            "QD flops per MeshDriver::step"
         );
     }
 }
