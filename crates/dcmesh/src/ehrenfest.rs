@@ -12,6 +12,15 @@
 //! bit-identical at any rank count; [`run_inner_loop`] is the loop with no
 //! communicator — one block, the whole panel, no collective.
 //!
+//! The loop is block-major (paper Secs. V.B.2–V.B.4 carried across kernel
+//! boundaries): the `cis(−(½dt)·v)` phase table is built once, and each
+//! block of at most `KinProp::block` orbitals is gathered once into a
+//! split re/im [`SplitBlock`], runs phase, kinetic sweeps, phase and its
+//! current terms for every QD step in place, and is scattered once. The
+//! blocks go to the pool only when `N_grid·N_orb` reaches
+//! [`PAR_THRESHOLD`]; below it they run serially. Nothing allocates or
+//! dispatches per QD step.
+//!
 //! Within the loop the *electronic* part of the potential (Hartree of the
 //! evolving density) can be updated self-consistently with the
 //! time-reversible predictor–corrector of ref \[43\]: propagate with `v(t)`
@@ -19,19 +28,25 @@
 //! from `ψ(t)` with the averaged potential — one corrector pass keeps the
 //! scheme second-order and time-reversible. That update couples the
 //! orbitals every QD step, so under `self_consistent` the whole panel is
-//! every rank's block and nothing is gathered.
+//! one block on every rank, run step-major: predictor and densities come
+//! from the block and the phase table is rebuilt per step. An installed
+//! nonlocal term (`QdStep::nlp`, applied to the whole panel) takes the same
+//! path.
 
-use mlmd_lfd::current::{fold_current_terms, orbital_current_term, OrbitalCurrentTerm};
-use mlmd_lfd::density;
+use mlmd_lfd::current::{block_current_terms, fold_current_terms, OrbitalCurrentTerm};
+use mlmd_lfd::density::block_density;
 use mlmd_lfd::hartree::solve_fft;
+use mlmd_lfd::kin_prop::SplitBlock;
 use mlmd_lfd::occupation::Occupations;
 use mlmd_lfd::propagator::QdStep;
 use mlmd_lfd::wavefunction::WaveFunctions;
 use mlmd_maxwell::source::Drive;
-use mlmd_numerics::matrix::Matrix;
+use mlmd_numerics::complex::c64;
 use mlmd_numerics::vec3::Vec3;
+use mlmd_numerics::PAR_THRESHOLD;
 use mlmd_parallel::comm::Comm;
 use mlmd_parallel::hier::partition;
+use rayon::prelude::*;
 
 /// Settings for the inner loop.
 #[derive(Clone, Copy, Debug)]
@@ -122,54 +137,49 @@ pub(crate) fn inner_loop_in(
             (e_field, a)
         })
         .collect();
-    let domain = domain.filter(|d| d.size() > 1 && !cfg.self_consistent);
+    // The self-consistent update and the nonlocal term couple the orbitals
+    // every QD step: the whole panel is one block, on every rank.
+    let step_major = cfg.self_consistent || qd.nlp.is_some();
+    let domain = domain.filter(|d| d.size() > 1 && !step_major);
     let cols = domain.map_or(0..norb, |d| partition(norb, d.size(), d.rank()));
-    let mut sub = domain.map(|_| WaveFunctions {
-        grid,
-        norb: cols.len(),
-        psi: Matrix::from_vec(
-            ngrid,
-            cols.len(),
-            wf.psi.as_slice()[cols.start * ngrid..cols.end * ngrid].to_vec(),
-        ),
-    });
-    let block = sub.as_mut().unwrap_or(&mut *wf);
     // Owned-column-major (`[local_col * n_qd + step]`), so the blocks of
     // consecutive ranks concatenate into the orbital-major table.
     let mut terms = vec![OrbitalCurrentTerm::default(); cols.len() * n_qd];
-    let mut v_eff = frozen_v.to_vec();
-    for (step, &(_, a)) in schedule.iter().enumerate() {
-        if cfg.self_consistent {
-            // Predictor: propagate a copy with the current potential.
-            let mut predictor = block.clone();
-            qd.step(&mut predictor, &v_eff, a, cfg.dt_qd);
-            // Corrector potential: average Hartree of ρ(t) and ρ̃(t+dt).
-            let rho_now = density::density(block, occ);
-            let rho_pred = density::density(&predictor, occ);
-            let avg: Vec<f64> = rho_now
-                .iter()
-                .zip(&rho_pred)
-                .map(|(a, b)| 0.5 * (a + b))
-                .collect();
-            let vh = solve_fft(&grid, &avg);
-            for (v, (f, h)) in v_eff.iter_mut().zip(frozen_v.iter().zip(&vh)) {
-                *v = f + h;
+    if step_major {
+        step_major_loop(qd, wf, occ, frozen_v, &schedule, cfg, &mut terms);
+    } else if n_qd > 0 {
+        let mut phase = Vec::with_capacity(ngrid);
+        QdStep::half_step_phases(frozen_v, cfg.dt_qd, &mut phase);
+        // One block: gathered once, through every QD step, scattered once.
+        let run = |(cols, terms): (&mut [c64], &mut [OrbitalCurrentTerm])| {
+            let mut block = SplitBlock::default();
+            block.gather(cols, ngrid);
+            let mut step_terms = vec![OrbitalCurrentTerm::default(); block.width()];
+            for (step, &(_, a)) in schedule.iter().enumerate() {
+                qd.step_block(&mut block, &phase, a, cfg.dt_qd);
+                block_current_terms(&grid, &block, &mut step_terms);
+                for (s, &t) in step_terms.iter().enumerate() {
+                    terms[s * n_qd + step] = t;
+                }
             }
-        }
-        // A surplus rank (more ranks than orbitals) owns an empty block.
-        if !cols.is_empty() {
-            qd.step(block, &v_eff, a, cfg.dt_qd);
-        }
-        for (lc, s) in cols.clone().enumerate() {
-            if occ.f(s) != 0.0 {
-                terms[lc * n_qd + step] = orbital_current_term(&grid, block.psi.col(lc));
-            }
+            block.scatter(cols);
+        };
+        // A surplus rank (more ranks than orbitals) owns no block.
+        let bs = qd.kin.block.max(1);
+        let blocks = wf.psi.as_mut_slice()[cols.start * ngrid..cols.end * ngrid]
+            .chunks_mut(bs * ngrid)
+            .zip(terms.chunks_mut(bs * n_qd));
+        if cols.len() * ngrid >= PAR_THRESHOLD {
+            blocks.into_par_iter().for_each(run);
+        } else {
+            blocks.for_each(run);
         }
     }
-    if let (Some(d), Some(sub)) = (domain, sub) {
+    if let Some(d) = domain {
         // Contiguous column blocks in domain-rank order: the concatenation
         // *is* the column-major panel.
-        let panel = d.allgather_vec(sub.psi.as_slice().to_vec());
+        let owned = wf.psi.as_slice()[cols.start * ngrid..cols.end * ngrid].to_vec();
+        let panel = d.allgather_vec(owned);
         wf.psi.as_mut_slice().copy_from_slice(&panel);
         terms = d.allgather_vec(terms);
     }
@@ -191,6 +201,66 @@ pub(crate) fn inner_loop_in(
         absorbed_energy: absorbed,
         a_final: a,
     }
+}
+
+/// The loop with the whole panel as one resident block, step-major: under
+/// `self_consistent` each step first propagates a predictor copy of the
+/// block, rebuilds the Hartree term from the average of the block's and
+/// the predictor's densities, and rebuilds the phase table; an installed
+/// nonlocal term is applied after every block step through `wf`.
+fn step_major_loop(
+    qd: &QdStep,
+    wf: &mut WaveFunctions,
+    occ: &Occupations,
+    frozen_v: &[f64],
+    schedule: &[(Vec3, Vec3)],
+    cfg: EhrenfestConfig,
+    terms: &mut [OrbitalCurrentTerm],
+) {
+    let grid = wf.grid;
+    let (ngrid, n_qd) = (wf.ngrid(), cfg.n_qd);
+    let mut block = SplitBlock::default();
+    block.gather(wf.psi.as_slice(), ngrid);
+    let mut predictor = SplitBlock::default();
+    let mut v_eff = frozen_v.to_vec();
+    let mut phase = Vec::with_capacity(ngrid);
+    QdStep::half_step_phases(&v_eff, cfg.dt_qd, &mut phase);
+    let (mut rho_now, mut rho_pred) = (vec![0.0; ngrid], vec![0.0; ngrid]);
+    let mut step_terms = vec![OrbitalCurrentTerm::default(); block.width()];
+    let mut full_step = |block: &mut SplitBlock, phase: &[c64], a: Vec3| {
+        qd.step_block(block, phase, a, cfg.dt_qd);
+        if let Some(nlp) = &qd.nlp {
+            block.scatter(wf.psi.as_mut_slice());
+            nlp.apply(wf, qd.nlp_precision, &qd.flops);
+            block.gather(wf.psi.as_slice(), ngrid);
+        }
+    };
+    for (step, &(_, a)) in schedule.iter().enumerate() {
+        if cfg.self_consistent {
+            // Predictor: propagate a copy with the current potential.
+            predictor.clone_from(&block);
+            full_step(&mut predictor, &phase, a);
+            // Corrector potential: average Hartree of ρ(t) and ρ̃(t+dt).
+            block_density(&block, occ, &mut rho_now);
+            block_density(&predictor, occ, &mut rho_pred);
+            let avg: Vec<f64> = rho_now
+                .iter()
+                .zip(&rho_pred)
+                .map(|(a, b)| 0.5 * (a + b))
+                .collect();
+            let vh = solve_fft(&grid, &avg);
+            for (v, (f, h)) in v_eff.iter_mut().zip(frozen_v.iter().zip(&vh)) {
+                *v = f + h;
+            }
+            QdStep::half_step_phases(&v_eff, cfg.dt_qd, &mut phase);
+        }
+        full_step(&mut block, &phase, a);
+        block_current_terms(&grid, &block, &mut step_terms);
+        for (s, &t) in step_terms.iter().enumerate() {
+            terms[s * n_qd + step] = t;
+        }
+    }
+    block.scatter(wf.psi.as_mut_slice());
 }
 
 /// Convenience: a linearly-polarized drive (any [`Drive`] shape — a

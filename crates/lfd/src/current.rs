@@ -11,6 +11,7 @@
 //!   = paramagnetic + diamagnetic
 //! ```
 
+use crate::kin_prop::SplitBlock;
 use crate::occupation::Occupations;
 use crate::wavefunction::WaveFunctions;
 use mlmd_numerics::complex::c64;
@@ -45,13 +46,18 @@ pub struct OrbitalCurrentTerm {
     pub norm_sqr: f64,
 }
 
-/// Compute one orbital column's [`OrbitalCurrentTerm`] on `grid` (periodic
-/// central differences for the gradient).
-pub fn orbital_current_term(grid: &Grid3, col: &[c64]) -> OrbitalCurrentTerm {
-    assert_eq!(col.len(), grid.len());
+/// Every orbital's [`OrbitalCurrentTerm`] on `grid` (periodic central
+/// differences for the gradient), straight from a resident [`SplitBlock`]
+/// into `out` (one per block orbital). Each orbital's sums run over the
+/// grid in index order whatever the block width, so a term does not depend
+/// on which block its orbital sits in.
+pub fn block_current_terms(grid: &Grid3, block: &SplitBlock, out: &mut [OrbitalCurrentTerm]) {
+    let bw = block.width();
+    assert_eq!(out.len(), bw);
+    assert_eq!(block.re.len(), grid.len() * bw);
+    out.fill(OrbitalCurrentTerm::default());
     let inv_2h = 0.5 / grid.h;
-    let mut acc = Vec3::ZERO;
-    let mut norm = 0.0;
+    let run = |g: usize| (&block.re[g * bw..][..bw], &block.im[g * bw..][..bw]);
     for k in 0..grid.nz {
         let kp = (k + 1) % grid.nz;
         let km = (k + grid.nz - 1) % grid.nz;
@@ -61,18 +67,24 @@ pub fn orbital_current_term(grid: &Grid3, col: &[c64]) -> OrbitalCurrentTerm {
             for i in 0..grid.nx {
                 let ip = (i + 1) % grid.nx;
                 let im = (i + grid.nx - 1) % grid.nx;
-                let z = col[grid.idx(i, j, k)];
-                let gx = (col[grid.idx(ip, j, k)] - col[grid.idx(im, j, k)]).scale(inv_2h);
-                let gy = (col[grid.idx(i, jp, k)] - col[grid.idx(i, jm, k)]).scale(inv_2h);
-                let gz = (col[grid.idx(i, j, kp)] - col[grid.idx(i, j, km)]).scale(inv_2h);
-                acc += Vec3::new(im_conj_mul(z, gx), im_conj_mul(z, gy), im_conj_mul(z, gz));
-                norm += z.norm_sqr();
+                let (zr, zi) = run(grid.idx(i, j, k));
+                let (xpr, xpi) = run(grid.idx(ip, j, k));
+                let (xmr, xmi) = run(grid.idx(im, j, k));
+                let (ypr, ypi) = run(grid.idx(i, jp, k));
+                let (ymr, ymi) = run(grid.idx(i, jm, k));
+                let (zpr, zpi) = run(grid.idx(i, j, kp));
+                let (zmr, zmi) = run(grid.idx(i, j, km));
+                for (s, t) in out.iter_mut().enumerate() {
+                    let z = c64::new(zr[s], zi[s]);
+                    let gx = c64::new((xpr[s] - xmr[s]) * inv_2h, (xpi[s] - xmi[s]) * inv_2h);
+                    let gy = c64::new((ypr[s] - ymr[s]) * inv_2h, (ypi[s] - ymi[s]) * inv_2h);
+                    let gz = c64::new((zpr[s] - zmr[s]) * inv_2h, (zpi[s] - zmi[s]) * inv_2h);
+                    t.paramagnetic +=
+                        Vec3::new(im_conj_mul(z, gx), im_conj_mul(z, gy), im_conj_mul(z, gz));
+                    t.norm_sqr += z.norm_sqr();
+                }
             }
         }
-    }
-    OrbitalCurrentTerm {
-        paramagnetic: acc,
-        norm_sqr: norm,
     }
 }
 
@@ -106,21 +118,15 @@ pub fn fold_current_terms(
 }
 
 /// Compute the cell-averaged current for vector potential `a`: the fold
-/// of every orbital's [`orbital_current_term`] — the exact kernel pair the
+/// of every orbital's [`block_current_terms`] — the exact kernel pair the
 /// distributed MESH driver shards over ranks.
 pub fn macroscopic_current(wf: &WaveFunctions, occ: &Occupations, a: Vec3) -> Current {
     assert_eq!(occ.len(), wf.norb);
-    let grid = wf.grid;
-    let terms: Vec<OrbitalCurrentTerm> = (0..wf.norb)
-        .map(|s| {
-            if occ.f(s) == 0.0 {
-                OrbitalCurrentTerm::default()
-            } else {
-                orbital_current_term(&grid, wf.psi.col(s))
-            }
-        })
-        .collect();
-    fold_current_terms(&terms, occ, a, &grid)
+    let mut block = SplitBlock::default();
+    block.gather(wf.psi.as_slice(), wf.ngrid());
+    let mut terms = vec![OrbitalCurrentTerm::default(); wf.norb];
+    block_current_terms(&wf.grid, &block, &mut terms);
+    fold_current_terms(&terms, occ, a, &wf.grid)
 }
 
 /// Im(z* w).
@@ -189,13 +195,13 @@ mod tests {
         let want = macroscopic_current(&wf, &occ, a);
         // "Rank 0" owns orbitals 0..2, "rank 1" owns 2..5.
         let mut terms = vec![OrbitalCurrentTerm::default(); 5];
+        let mut block = SplitBlock::default();
         for cols in [0..2usize, 2..5] {
-            for (s, slot) in terms[cols.clone()].iter_mut().enumerate() {
-                let s = cols.start + s;
-                if occ.f(s) != 0.0 {
-                    *slot = orbital_current_term(&grid, wf.psi.col(s));
-                }
-            }
+            block.gather(
+                &wf.psi.as_slice()[cols.start * grid.len()..cols.end * grid.len()],
+                grid.len(),
+            );
+            block_current_terms(&grid, &block, &mut terms[cols]);
         }
         let got = fold_current_terms(&terms, &occ, a, &grid);
         assert_eq!(got.paramagnetic.x.to_bits(), want.paramagnetic.x.to_bits());

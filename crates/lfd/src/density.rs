@@ -5,23 +5,42 @@
 //! the Hartree and xc potentials need, and its integral is the electron
 //! count (a conserved diagnostic asserted throughout the test suite).
 
+use crate::kin_prop::SplitBlock;
 use crate::occupation::Occupations;
 use crate::wavefunction::WaveFunctions;
 
 /// Accumulate `ρ(r)` on the wave-function grid.
 pub fn density(wf: &WaveFunctions, occ: &Occupations) -> Vec<f64> {
-    assert_eq!(occ.len(), wf.norb, "occupations/orbitals mismatch");
+    let mut block = SplitBlock::default();
+    block.gather(wf.psi.as_slice(), wf.ngrid());
     let mut rho = vec![0.0; wf.ngrid()];
-    for s in 0..wf.norb {
-        let f = occ.f(s);
-        if f == 0.0 {
-            continue;
-        }
-        for (r, z) in rho.iter_mut().zip(wf.psi.col(s)) {
-            *r += f * z.norm_sqr();
+    block_density(&block, occ, &mut rho);
+    rho
+}
+
+/// [`density`] of a resident [`SplitBlock`] holding the whole panel
+/// (block orbital `s` is band `s`), into `rho`: each point sums
+/// `f_s |ψ_s|²` over the occupied bands in band order.
+pub fn block_density(block: &SplitBlock, occ: &Occupations, rho: &mut [f64]) {
+    let bw = block.width();
+    assert_eq!(occ.len(), bw, "occupations/orbitals mismatch");
+    assert_eq!(block.re.len(), rho.len() * bw);
+    rho.fill(0.0);
+    if bw == 0 {
+        return;
+    }
+    for ((r, re), im) in rho
+        .iter_mut()
+        .zip(block.re.chunks_exact(bw))
+        .zip(block.im.chunks_exact(bw))
+    {
+        for s in 0..bw {
+            let f = occ.f(s);
+            if f != 0.0 {
+                *r += f * (re[s] * re[s] + im[s] * im[s]);
+            }
         }
     }
-    rho
 }
 
 /// ∫ρ dV — the total electron count.

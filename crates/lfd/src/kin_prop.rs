@@ -22,11 +22,15 @@
 //! |---|---|---|
 //! | `Baseline`  | —      | orbital-major storage, per-point index math |
 //! | `Reordered` | V.B.2  | orbital-fastest SoA, stencil coefficient reused across orbitals, precomputed bond lists |
-//! | `Blocked`   | V.B.3  | orbital blocks processed through *all* sweeps while cache-resident |
-//! | `Parallel`  | V.B.4  | hierarchical parallelism over blocks × bond sets (the GPU offload analogue) |
+//! | `Blocked`   | V.B.3  | orbital blocks in split re/im block-SoA ([`SplitBlock`]) processed through *all* sweeps while cache-resident |
+//! | `Parallel`  | V.B.4  | the `Blocked` blocks dispatched over the pool (the GPU offload analogue) |
 //!
-//! All four produce bit-comparable states (asserted in tests); only their
-//! speed differs.
+//! All four produce bit-identical states (asserted in tests); only their
+//! speed differs. `Blocked` and `Parallel` run the one split-layout sweep
+//! kernel, [`KinProp::step_split`], which `QdStep::step` and the Ehrenfest
+//! inner loop of `mlmd-dcmesh` also call: the loop keeps each block
+//! resident through all of its QD steps, extending the ladder's data
+//! locality across the local-phase and current kernels.
 
 use crate::wavefunction::WaveFunctions;
 use mlmd_numerics::complex::c64;
@@ -88,6 +92,109 @@ impl BondCoeffs {
     #[inline(always)]
     fn mix(&self, a: c64, b: c64) -> (c64, c64) {
         (self.u * a + self.vp * b, self.vm * a + self.u * b)
+    }
+
+    /// [`Self::mix`] over two runs of orbitals held as split re/im arrays,
+    /// in the same operation order term by term.
+    #[inline(always)]
+    fn mix_split(&self, a_re: &mut [f64], a_im: &mut [f64], b_re: &mut [f64], b_im: &mut [f64]) {
+        let (u, vp, vm) = (self.u, self.vp, self.vm);
+        let n = a_re.len();
+        let (a_im, b_re, b_im) = (&mut a_im[..n], &mut b_re[..n], &mut b_im[..n]);
+        for s in 0..n {
+            let (ar, ai, br, bi) = (a_re[s], a_im[s], b_re[s], b_im[s]);
+            a_re[s] = (u.re * ar - u.im * ai) + (vp.re * br - vp.im * bi);
+            a_im[s] = (u.re * ai + u.im * ar) + (vp.re * bi + vp.im * br);
+            b_re[s] = (vm.re * ar - vm.im * ai) + (u.re * br - u.im * bi);
+            b_im[s] = (vm.re * ai + vm.im * ar) + (u.re * bi + u.im * br);
+        }
+    }
+}
+
+/// A block of orbitals in split block-SoA layout: `re[g·width + s]` and
+/// `im[g·width + s]`, orbital-fastest per grid point with the real and
+/// imaginary parts in separate arrays, so every sweep and phase loop runs
+/// over plain `f64` runs the autovectorizer can use.
+///
+/// A block is gathered once from consecutive panel columns, stays resident
+/// through any number of steps, and is scattered back once. Re-gathering
+/// into the same block, or `clone_from` into it, reuses its storage.
+#[derive(Debug, Default)]
+pub struct SplitBlock {
+    width: usize,
+    pub(crate) re: Vec<f64>,
+    pub(crate) im: Vec<f64>,
+}
+
+impl Clone for SplitBlock {
+    fn clone(&self) -> Self {
+        let mut copy = Self::default();
+        copy.clone_from(self);
+        copy
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.width = source.width;
+        self.re.clone_from(&source.re);
+        self.im.clone_from(&source.im);
+    }
+}
+
+impl SplitBlock {
+    /// Orbitals in the block.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Load `cols`, consecutive grid-major columns of `ngrid` points each
+    /// (a column-major panel slice); the width is `cols.len() / ngrid`.
+    pub fn gather(&mut self, cols: &[c64], ngrid: usize) {
+        assert_eq!(cols.len() % ngrid, 0, "columns of {ngrid} points");
+        let bw = cols.len() / ngrid;
+        self.width = bw;
+        self.re.resize(cols.len(), 0.0);
+        self.im.resize(cols.len(), 0.0);
+        for (s, col) in cols.chunks_exact(ngrid).enumerate() {
+            for (g, z) in col.iter().enumerate() {
+                self.re[g * bw + s] = z.re;
+                self.im[g * bw + s] = z.im;
+            }
+        }
+    }
+
+    /// Store the block back into the columns it was gathered from.
+    pub fn scatter(&self, cols: &mut [c64]) {
+        assert_eq!(cols.len(), self.re.len(), "scatter into a different shape");
+        let bw = self.width;
+        if bw == 0 {
+            return;
+        }
+        for (s, col) in cols.chunks_exact_mut(cols.len() / bw).enumerate() {
+            for (g, z) in col.iter_mut().enumerate() {
+                *z = c64::new(self.re[g * bw + s], self.im[g * bw + s]);
+            }
+        }
+    }
+
+    /// Multiply every orbital pointwise by `phase[g]`, as `Complex::mul`.
+    pub fn apply_phase(&mut self, phase: &[c64]) {
+        let bw = self.width;
+        assert_eq!(self.re.len(), phase.len() * bw);
+        if bw == 0 {
+            return;
+        }
+        for ((re, im), p) in self
+            .re
+            .chunks_exact_mut(bw)
+            .zip(self.im.chunks_exact_mut(bw))
+            .zip(phase)
+        {
+            for (r, i) in re.iter_mut().zip(im.iter_mut()) {
+                let (zr, zi) = (*r, *i);
+                *r = zr * p.re - zi * p.im;
+                *i = zr * p.im + zi * p.re;
+            }
+        }
     }
 }
 
@@ -227,7 +334,7 @@ impl KinProp {
         }
     }
 
-    /// One symmetric step (`Parallel` tier): the form used by the QD driver.
+    /// One symmetric step of the `Parallel` tier.
     pub fn step(&self, wf: &mut WaveFunctions, dt: f64, a: Vec3, flops: &FlopCounter) {
         self.propagate_n(KinImpl::Parallel, wf, dt, a, 1, flops);
     }
@@ -299,95 +406,83 @@ impl KinProp {
         wf.from_soa(&data);
     }
 
-    // ---- Blocked / Parallel: block-SoA, all sweeps per resident block ----
+    // ---- Blocked / Parallel: split block-SoA, all sweeps per resident block
 
     fn run_blocked(&self, wf: &mut WaveFunctions, dt: f64, a: Vec3, n_steps: usize, par: bool) {
         let norb = wf.norb;
         let ngrid = self.grid.len();
         // The parallel tier needs enough blocks to feed the pool
         // (2 tasks per thread for load balance); the serial blocked tier
-        // uses the cache-sized block.
+        // uses the cache-sized block. An empty panel has no blocks.
         let bs = if par {
-            (norb / (2 * rayon::current_num_threads()).max(1))
-                .clamp(1, self.block.max(1))
-                .min(norb)
+            (norb / (2 * rayon::current_num_threads()).max(1)).clamp(1, self.block.max(1))
         } else {
-            self.block.min(norb).max(1)
+            self.block.max(1)
         };
-        let nblocks = norb.div_ceil(bs);
-        let tau = 0.5 * dt;
-        // Gather per-block SoA panels: panel[b][g*bw + s_local].
-        let mut panels: Vec<Vec<c64>> = (0..nblocks)
-            .map(|b| {
-                let s0 = b * bs;
-                let bw = bs.min(norb - s0);
-                let mut p = vec![c64::zero(); ngrid * bw];
-                for sl in 0..bw {
-                    let col = wf.psi.col(s0 + sl);
-                    for (g, &v) in col.iter().enumerate() {
-                        p[g * bw + sl] = v;
-                    }
-                }
-                p
-            })
-            .collect();
-        let coeffs: Vec<BondCoeffs> = (0..6).map(|set| self.coeffs(set / 2, tau, a)).collect();
-        let sweep_block = |panel: &mut Vec<c64>, bw: usize| {
+        let run = |cols: &mut [c64]| {
+            let mut block = SplitBlock::default();
+            block.gather(cols, ngrid);
             for _ in 0..n_steps {
-                for sweep in 0..12 {
-                    let set = if sweep < 6 { sweep } else { 11 - sweep };
-                    let c = coeffs[set];
-                    let plan = &self.plans[set];
-                    // The plan-time fwd/wrap partition makes both loops
-                    // branch-free; bonds in a set are disjoint, so the
-                    // regrouped order is bit-identical (see BondSetPlan).
-                    for &(lo, hi) in &plan.fwd {
-                        let b_lo = lo as usize * bw;
-                        let (head, tail) = panel.split_at_mut(hi as usize * bw);
-                        let run_a = &mut head[b_lo..b_lo + bw];
-                        let run_b = &mut tail[..bw];
-                        for (x, y) in run_a.iter_mut().zip(run_b.iter_mut()) {
-                            let (na, nb) = c.mix(*x, *y);
-                            *x = na;
-                            *y = nb;
-                        }
-                    }
-                    for &(lo, hi) in &plan.wrap {
-                        let b_lo = lo as usize * bw;
-                        let (head, tail) = panel.split_at_mut(hi as usize * bw);
-                        let run_b = &mut head[b_lo..b_lo + bw];
-                        let run_a = &mut tail[..bw];
-                        for (y, x) in run_b.iter_mut().zip(run_a.iter_mut()) {
-                            let (na, nb) = c.mix(*x, *y);
-                            *x = na;
-                            *y = nb;
-                        }
-                    }
-                }
+                self.step_split(&mut block, dt, a);
             }
+            block.scatter(cols);
         };
+        let panel = wf.psi.as_mut_slice();
         if par {
-            panels.par_iter_mut().enumerate().for_each(|(b, panel)| {
-                let s0 = b * bs;
-                let bw = bs.min(norb - s0);
-                sweep_block(panel, bw);
-            });
+            panel.par_chunks_mut(bs * ngrid).for_each(run);
         } else {
-            for (b, panel) in panels.iter_mut().enumerate() {
-                let s0 = b * bs;
-                let bw = bs.min(norb - s0);
-                sweep_block(panel, bw);
-            }
+            panel.chunks_mut(bs * ngrid).for_each(run);
         }
-        // Scatter back.
-        for (b, panel) in panels.iter().enumerate() {
-            let s0 = b * bs;
-            let bw = bs.min(norb - s0);
-            for sl in 0..bw {
-                let col = wf.psi.col_mut(s0 + sl);
-                for (g, v) in col.iter_mut().enumerate() {
-                    *v = panel[g * bw + sl];
-                }
+    }
+
+    /// One symmetric kinetic step — the 12 bond sweeps, forward then
+    /// reversed — on a resident [`SplitBlock`]. The one sweep kernel of the
+    /// `Blocked`/`Parallel` tiers, `QdStep::step` and the Ehrenfest loop.
+    ///
+    /// Each bond update performs `BondCoeffs::mix` with the operation order
+    /// of `Complex::mul`/`add` spelled out on the split arrays, so it is
+    /// bit-identical to the `c64` tiers. An empty block is a no-op.
+    pub fn step_split(&self, block: &mut SplitBlock, dt: f64, a: Vec3) {
+        let bw = block.width();
+        if bw == 0 {
+            return;
+        }
+        assert_eq!(
+            block.re.len(),
+            self.grid.len() * bw,
+            "block on a different grid"
+        );
+        let tau = 0.5 * dt;
+        let coeffs: [BondCoeffs; 6] = std::array::from_fn(|set| self.coeffs(set / 2, tau, a));
+        let (re, im) = (&mut block.re[..], &mut block.im[..]);
+        for sweep in 0..12 {
+            let set = if sweep < 6 { sweep } else { 11 - sweep };
+            let c = &coeffs[set];
+            let plan = &self.plans[set];
+            // The plan-time fwd/wrap partition makes both loops
+            // branch-free; bonds in a set are disjoint, so the regrouped
+            // order is bit-identical (see BondSetPlan).
+            for &(lo, hi) in &plan.fwd {
+                let (lo, hi) = (lo as usize * bw, hi as usize * bw);
+                let (re_lo, re_hi) = re.split_at_mut(hi);
+                let (im_lo, im_hi) = im.split_at_mut(hi);
+                c.mix_split(
+                    &mut re_lo[lo..lo + bw],
+                    &mut im_lo[lo..lo + bw],
+                    &mut re_hi[..bw],
+                    &mut im_hi[..bw],
+                );
+            }
+            for &(lo, hi) in &plan.wrap {
+                let (lo, hi) = (lo as usize * bw, hi as usize * bw);
+                let (re_lo, re_hi) = re.split_at_mut(hi);
+                let (im_lo, im_hi) = im.split_at_mut(hi);
+                c.mix_split(
+                    &mut re_hi[..bw],
+                    &mut im_hi[..bw],
+                    &mut re_lo[lo..lo + bw],
+                    &mut im_lo[lo..lo + bw],
+                );
             }
         }
     }
@@ -459,6 +554,17 @@ mod tests {
                 assert_eq!(x.re.to_bits(), y.re.to_bits(), "{imp:?}");
                 assert_eq!(x.im.to_bits(), y.im.to_bits(), "{imp:?}");
             }
+        }
+    }
+
+    #[test]
+    fn empty_panel_is_a_no_op_in_every_tier() {
+        let g = grid();
+        let kp = KinProp::new(g);
+        for imp in KinImpl::ALL {
+            let mut wf = WaveFunctions::zeros(g, 0);
+            kp.propagate_n(imp, &mut wf, 0.01, Vec3::new(0.2, 0.0, -0.1), 3, &counter());
+            assert_eq!(wf.psi.as_slice().len(), 0, "{imp:?}");
         }
     }
 

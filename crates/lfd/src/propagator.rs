@@ -15,7 +15,7 @@
 //! potential is updated between steps; within a step the propagator is
 //! exactly unitary (up to the perturbative Eq. (5) term).
 
-use crate::kin_prop::{KinImpl, KinProp};
+use crate::kin_prop::{KinProp, SplitBlock};
 use crate::nlp_prop::{NlpPrecision, NlpProp};
 use crate::occupation::Occupations;
 use crate::wavefunction::WaveFunctions;
@@ -23,6 +23,8 @@ use mlmd_numerics::complex::c64;
 use mlmd_numerics::flops::FlopCounter;
 use mlmd_numerics::grid::Grid3;
 use mlmd_numerics::stencil::{laplacian, Order};
+use mlmd_numerics::vec3::Vec3;
+use mlmd_numerics::PAR_THRESHOLD;
 use rayon::prelude::*;
 
 /// FLOPs per grid point per orbital of one local-phase application
@@ -36,8 +38,6 @@ pub struct QdStep {
     pub nlp: Option<NlpProp>,
     /// Precision of the nonlocal CGEMMs.
     pub nlp_precision: NlpPrecision,
-    /// Implementation tier for the kinetic kernel.
-    pub kin_impl: KinImpl,
     pub flops: FlopCounter,
 }
 
@@ -47,7 +47,6 @@ impl QdStep {
             kin: KinProp::new(grid),
             nlp: None,
             nlp_precision: NlpPrecision::F64,
-            kin_impl: KinImpl::Parallel,
             flops: FlopCounter::new(),
         }
     }
@@ -59,8 +58,9 @@ impl QdStep {
         self
     }
 
-    /// Pointwise local-potential phase `ψ ← e^{−i dt v(r)} ψ`,
-    /// parallelized over orbitals (each orbital is a contiguous column).
+    /// Pointwise local-potential phase `ψ ← e^{−i dt v(r)} ψ`, over
+    /// orbitals (each orbital is a contiguous column) on the pool once the
+    /// panel reaches [`PAR_THRESHOLD`] points.
     pub fn apply_vloc(&self, wf: &mut WaveFunctions, vloc: &[f64], dt: f64) {
         assert_eq!(vloc.len(), wf.ngrid());
         let norb = wf.norb as u64;
@@ -70,26 +70,50 @@ impl QdStep {
         // Precompute the phase table once, reuse for all orbitals
         // (the same coefficient-reuse idea as Sec. V.B.2).
         let phases: Vec<c64> = vloc.iter().map(|&v| c64::cis(-dt * v)).collect();
-        wf.psi.as_mut_slice().par_chunks_mut(ngrid).for_each(|col| {
+        let apply = |col: &mut [c64]| {
             for (z, p) in col.iter_mut().zip(&phases) {
                 *z *= *p;
             }
-        });
+        };
+        let panel = wf.psi.as_mut_slice();
+        if panel.len() >= PAR_THRESHOLD {
+            panel.par_chunks_mut(ngrid).for_each(apply);
+        } else {
+            panel.chunks_mut(ngrid).for_each(apply);
+        }
+    }
+
+    /// The half-step local phase table `cis(−(½dt)·v)` of a QD step of
+    /// `dt`, written into `out` (its storage is reused).
+    pub fn half_step_phases(vloc: &[f64], dt: f64, out: &mut Vec<c64>) {
+        let half = 0.5 * dt;
+        out.clear();
+        out.extend(vloc.iter().map(|&v| c64::cis(-half * v)));
+    }
+
+    /// One symmetric QD step of `dt` on a resident [`SplitBlock`]: local
+    /// phase, kinetic sweeps, local phase, with `phase` the
+    /// [`Self::half_step_phases`] table. No nonlocal term; no allocation.
+    pub fn step_block(&self, block: &mut SplitBlock, phase: &[c64], a: Vec3, dt: f64) {
+        let (ngrid, bw) = (phase.len() as u64, block.width());
+        self.flops.add(2 * FLOPS_PER_VLOC_POINT * ngrid * bw as u64);
+        self.flops.add(self.kin.flops_per_steps(bw, 1));
+        block.apply_phase(phase);
+        self.kin.step_split(block, dt, a);
+        block.apply_phase(phase);
     }
 
     /// One symmetric QD step under frozen `vloc` and uniform vector
-    /// potential `a`.
-    pub fn step(
-        &self,
-        wf: &mut WaveFunctions,
-        vloc: &[f64],
-        a: mlmd_numerics::vec3::Vec3,
-        dt: f64,
-    ) {
-        self.apply_vloc(wf, vloc, 0.5 * dt);
-        self.kin
-            .propagate_n(self.kin_impl, wf, dt, a, 1, &self.flops);
-        self.apply_vloc(wf, vloc, 0.5 * dt);
+    /// potential `a`: the panel is gathered into one block, stepped, and
+    /// scattered back, then the nonlocal term (if installed) is applied.
+    pub fn step(&self, wf: &mut WaveFunctions, vloc: &[f64], a: Vec3, dt: f64) {
+        assert_eq!(vloc.len(), wf.ngrid());
+        let mut phase = Vec::with_capacity(vloc.len());
+        Self::half_step_phases(vloc, dt, &mut phase);
+        let mut block = SplitBlock::default();
+        block.gather(wf.psi.as_slice(), wf.ngrid());
+        self.step_block(&mut block, &phase, a, dt);
+        block.scatter(wf.psi.as_mut_slice());
         if let Some(nlp) = &self.nlp {
             nlp.apply(wf, self.nlp_precision, &self.flops);
         }
@@ -134,7 +158,6 @@ impl QdStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlmd_numerics::vec3::Vec3;
 
     fn harmonic_vloc(grid: &Grid3, k: f64) -> Vec<f64> {
         // Periodicized harmonic well centred in the box.
@@ -163,6 +186,21 @@ mod tests {
             qd.step(&mut wf, &vloc, Vec3::new(0.1, 0.0, 0.0), 0.02);
         }
         assert!(wf.norm_error() < 1e-10, "norm error {}", wf.norm_error());
+    }
+
+    #[test]
+    fn empty_panel_step_is_a_no_op() {
+        let grid = Grid3::new(8, 8, 8, 0.5);
+        let qd = QdStep::new(grid);
+        let mut wf = WaveFunctions::zeros(grid, 0);
+        qd.step(
+            &mut wf,
+            &harmonic_vloc(&grid, 0.5),
+            Vec3::new(0.1, 0.0, 0.0),
+            0.02,
+        );
+        assert_eq!(wf.psi.as_slice().len(), 0);
+        assert_eq!(qd.flops.total(), 0);
     }
 
     #[test]

@@ -42,6 +42,7 @@
 use crate::bf16::{split_slice, SplitMode};
 use crate::flops;
 use crate::matrix::{Matrix, Scalar};
+use crate::PAR_THRESHOLD;
 use rayon::prelude::*;
 
 /// FLOP count of a (real or complex) GEMM of shape m×k · k×n.
@@ -60,10 +61,6 @@ pub const NR_MAX: usize = 8;
 /// derived from the pool width) so the work decomposition — and therefore
 /// the bit pattern of the result — is invariant across pool widths.
 const PAR_STRIP_COLS: usize = 8;
-
-/// Below this `m·n·k`, parallel dispatch overhead dominates and
-/// [`gemm_parallel`] delegates to the serial packed kernel.
-const PAR_THRESHOLD: usize = 32_768;
 
 /// Cache-blocking parameters for the packed kernel.
 ///

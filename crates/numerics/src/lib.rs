@@ -47,6 +47,13 @@ pub mod stats;
 pub mod stencil;
 pub mod vec3;
 
+/// Work size (elements touched, or `m·n·k` for a GEMM) below which a
+/// kernel runs serially instead of dispatching to the thread pool: under
+/// it, dispatch overhead dominates. The one threshold every pool-capable
+/// kernel reads ([`gemm::gemm_parallel`], the QD local phase and the
+/// Ehrenfest inner loop's block dispatch).
+pub const PAR_THRESHOLD: usize = 32_768;
+
 pub use bf16::SplitMode;
 pub use complex::{c32, c64, Complex};
 pub use grid::Grid3;

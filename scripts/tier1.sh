@@ -6,6 +6,7 @@
 # Runs the release build, the full workspace test suite (unit, property,
 # integration, and doc tests), the release-mode host-timing gates, the
 # release-mode pipeline suite (the ten-seed switching verdict), the
+# release-mode Ehrenfest golden digests and MESH distributed pins, the
 # benchmark smoke, and the doc, link, formatting and lint checks. Exits
 # non-zero on the first failure.
 set -euo pipefail
@@ -23,6 +24,10 @@ cargo test --release -q -p mlmd-bench --test host_gates
 
 echo "==> cargo test --release -q --test engine_pipeline  (switching verdict over ten seeds)"
 cargo test --release -q --test engine_pipeline
+
+echo "==> cargo test --release -q -p mlmd-dcmesh --lib ehrenfest && cargo test --release -q --test mesh_dist  (Ehrenfest golden digests and MESH distributed pins hold under the optimizer)"
+cargo test --release -q -p mlmd-dcmesh --lib ehrenfest
+cargo test --release -q --test mesh_dist
 
 echo "==> benchmark/run.sh --smoke  (all six BENCHMARK.json workloads, every output check, 0 failed)"
 CARGO_TARGET_DIR="$PWD/target" benchmark/run.sh --smoke

@@ -7,14 +7,19 @@
 //! serial oracles regardless of pool width — scheduling must never change
 //! a single floating-point operation.
 
+use mlmd::dcmesh::ehrenfest::{pulse_field, run_inner_loop, EhrenfestConfig};
 use mlmd::lfd::kin_prop::{KinImpl, KinProp};
+use mlmd::lfd::occupation::Occupations;
+use mlmd::lfd::propagator::QdStep;
 use mlmd::lfd::wavefunction::WaveFunctions;
+use mlmd::maxwell::source::GaussianPulse;
 use mlmd::numerics::flops::FlopCounter;
 use mlmd::numerics::gemm::gemm_parallel;
 use mlmd::numerics::grid::Grid3;
 use mlmd::numerics::matrix::Matrix;
 use mlmd::numerics::rng::{Rng64, SplitMix64};
 use mlmd::numerics::vec3::Vec3;
+use mlmd::numerics::PAR_THRESHOLD;
 use rayon::prelude::*;
 
 fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix<f64> {
@@ -102,6 +107,61 @@ fn kin_prop_parallel_bit_identical_to_serial_tiers() {
             "kin_prop Parallel deviates from the Blocked oracle by {diff} at width {threads}"
         );
     }
+}
+
+#[test]
+fn inner_loop_bit_identical_across_pool_widths() {
+    // 16³ grid × 8 orbitals sits at the shared dispatch threshold, so the
+    // loop hands its orbital blocks to the pool.
+    let grid = Grid3::new(16, 16, 16, 0.5);
+    let norb = 8;
+    assert_eq!(grid.len() * norb, PAR_THRESHOLD);
+    let wf0 = WaveFunctions::plane_waves(grid, norb);
+    let occ = Occupations::aufbau(norb, 6.0);
+    let vloc: Vec<f64> = (0..grid.len()).map(|g| 0.1 * (g % 7) as f64).collect();
+    let cfg = EhrenfestConfig {
+        dt_qd: 0.05,
+        n_qd: 6,
+        self_consistent: false,
+    };
+    let run = |block: usize, threads: usize| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let mut qd = QdStep::new(grid);
+        qd.kin.block = block;
+        let mut wf = wf0.clone();
+        let res = pool.install(|| {
+            run_inner_loop(
+                &qd,
+                &mut wf,
+                &occ,
+                &vloc,
+                Vec3::ZERO,
+                pulse_field(GaussianPulse::new(0.04, 0.4, 0.1, 0.2), Vec3::EX),
+                0.0,
+                cfg,
+            )
+        });
+        let mut d = mlmd::numerics::codec::Fnv64::new();
+        for x in res.current_trace.iter().chain([&res.absorbed_energy]) {
+            d.write_f64(*x);
+        }
+        (d.finish(), wf.panel_digest())
+    };
+    // The default block width and an uneven one (blocks of 3, 3, 2).
+    for block in [8, 3] {
+        let serial = run(block, 1);
+        for threads in [2, 4] {
+            assert_eq!(
+                run(block, threads),
+                serial,
+                "block {block}, width {threads}"
+            );
+        }
+    }
+    assert_eq!(run(3, 1), run(8, 1), "result depends on the block width");
 }
 
 #[test]

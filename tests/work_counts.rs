@@ -10,6 +10,7 @@
 //! |---|---|---|
 //! | `MdStage<SupercellForce>::advance`, analytic, `small_demo` | 1 | 512 cells × 24 B (`displacement_field`) |
 //! | `Langevin::apply`, after the first call | 0 | 0 |
+//! | `MeshDriver::step`, `small_mesh_driver` | 85 at `n_qd` 30 and 60: none per QD step | — |
 //!
 //! It also pins the modeled host↔device traffic of the canonical MESH
 //! fixture (`small_mesh_driver`: 8³ grid, 8 orbitals) on its
@@ -186,6 +187,25 @@ fn mesh_driver_step_qd_flops_are_exact() {
             "QD flops per MeshDriver::step"
         );
     }
+}
+
+#[test]
+fn mesh_driver_step_allocations_do_not_grow_with_n_qd() {
+    let per_step = |n_qd: usize| {
+        let mut driver = small_mesh_driver(0.05);
+        driver.config.ehrenfest.n_qd = n_qd;
+        driver.step();
+        allocations(|| {
+            driver.step();
+        })
+        .0
+    };
+    let (at_30, at_60) = (per_step(30), per_step(60));
+    assert_eq!(
+        at_30, at_60,
+        "allocations per MeshDriver::step at n_qd 30 vs 60"
+    );
+    assert_eq!(at_30, 85, "allocations per MeshDriver::step");
 }
 
 #[test]
