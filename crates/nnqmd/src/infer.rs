@@ -223,6 +223,8 @@ mod tests {
     use super::*;
     use crate::model::ModelConfig;
     use mlmd_numerics::rng::{Rng64, Xoshiro256};
+    use mlmd_qxmd::atoms::AtomsSystem;
+    use mlmd_qxmd::perovskite::PerovskiteLattice;
 
     fn setup(n: usize) -> (AllegroLite, Vec<Species>, Vec<Vec3>, Vec3) {
         setup_in_box(n, 14.0)
@@ -298,21 +300,24 @@ mod tests {
         h
     }
 
-    #[test]
-    fn bf16_golden_digest_is_pinned() {
-        // The digest of the hand-written f32 kernel, captured at the
-        // commit before the kernel became generic over precision: at
-        // `f32` the generic kernel must be that floating-point program.
-        use mlmd_qxmd::perovskite::PerovskiteLattice;
-        let model = AllegroLite::new(
+    /// The network of the NN respond stage (`hidden` 6, `k_max` 4,
+    /// `rcut` 3.5 Å) at a fixed seed.
+    fn respond_model() -> AllegroLite {
+        AllegroLite::new(
             ModelConfig {
                 hidden: 6,
                 k_max: 4,
                 rcut: 3.5,
             },
             41,
-        );
-        let mut sys = PerovskiteLattice::uniform(4, 4, 2, Vec3::new(0.0, 0.0, 0.1)).system;
+        )
+    }
+
+    /// A polarized perovskite patch with every atom jittered by up to
+    /// 0.08 Å per axis. Atoms on the cell faces at 0 move below 0: the
+    /// positions are left unwrapped, as MD leaves them.
+    fn jittered_perovskite(nx: usize, ny: usize, nz: usize) -> AtomsSystem {
+        let mut sys = PerovskiteLattice::uniform(nx, ny, nz, Vec3::new(0.0, 0.0, 0.1)).system;
         let mut rng = Xoshiro256::new(2025);
         for p in &mut sys.positions {
             *p += Vec3::new(
@@ -321,6 +326,85 @@ mod tests {
                 rng.range(-0.08, 0.08),
             );
         }
+        sys
+    }
+
+    #[test]
+    fn f64_golden_digests_are_pinned() {
+        // The 640-atom 8×8×2 slab is the `nn_response_f64` shape: 2 cells
+        // across z at this cutoff. Pinned at 1 and 4 batches (equal, by
+        // batch invariance) and on the 160-atom 4×4×2 slab.
+        let model = respond_model();
+        let run = |sys: &AtomsSystem, n_batches: usize| {
+            digest(&[block_evaluate(
+                &model,
+                &sys.species,
+                &sys.positions,
+                sys.box_lengths,
+                n_batches,
+            )])
+        };
+        let big = jittered_perovskite(8, 8, 2);
+        assert_eq!(big.len(), 640);
+        assert_eq!(run(&big, 1), 0x7480_a24e_e1fc_4cc5);
+        assert_eq!(run(&big, 4), 0x7480_a24e_e1fc_4cc5);
+        let small = jittered_perovskite(4, 4, 2);
+        assert_eq!(run(&small, 2), 0xa28c_f281_40df_f457);
+    }
+
+    #[test]
+    fn forces_are_the_negative_gradient_across_the_periodic_boundary() {
+        // An outward check: central differences of the energy, at atoms
+        // with at least one neighbour reached only through a periodic
+        // image, on the 9×9×2-cell slab and the 3×3×3-cell cube.
+        let model = respond_model();
+        let rcut = model.cfg.rcut;
+        for (nx, ny, nz) in [(8, 8, 2), (3, 3, 3)] {
+            let sys = jittered_perovskite(nx, ny, nz);
+            let (sp, l) = (&sys.species, sys.box_lengths);
+            let energy = |ps: &[Vec3]| block_evaluate(&model, sp, ps, l, 2).energy;
+            let res = block_evaluate(&model, sp, &sys.positions, l, 2);
+            let total = res.forces.iter().fold(Vec3::ZERO, |acc, f| acc + *f);
+            assert!(total.norm() < 1e-9, "ΣF = {total:?} on {nx}×{ny}×{nz}");
+            let crosses = |i: usize| {
+                (0..sys.len()).any(|j| {
+                    let raw = sys.positions[j] - sys.positions[i];
+                    let dr = raw.min_image(l);
+                    j != i && dr.norm() < rcut && (raw - dr).norm() > 1.0
+                })
+            };
+            let atoms: Vec<usize> = (0..sys.len())
+                .filter(|&i| crosses(i))
+                .step_by(7)
+                .take(4)
+                .collect();
+            assert_eq!(atoms.len(), 4);
+            let h = 1e-4;
+            for &i in &atoms {
+                for axis in 0..3 {
+                    let mut ps = sys.positions.clone();
+                    ps[i][axis] += h;
+                    let up = energy(&ps);
+                    ps[i][axis] -= 2.0 * h;
+                    let down = energy(&ps);
+                    let fd = -(up - down) / (2.0 * h);
+                    let f = res.forces[i][axis];
+                    assert!(
+                        (fd - f).abs() < 1e-6 * (1.0 + f.abs()),
+                        "atom {i} axis {axis} on {nx}×{ny}×{nz}: F {f} vs −dE/dx {fd}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bf16_golden_digest_is_pinned() {
+        // The digest of the hand-written f32 kernel, captured at the
+        // commit before the kernel became generic over precision: at
+        // `f32` the generic kernel must be that floating-point program.
+        let model = respond_model();
+        let sys = jittered_perovskite(4, 4, 2);
         assert_eq!(sys.len(), 160);
         let requests = [2usize, 3].map(|n_batches| ForceRequest {
             species: &sys.species,
@@ -336,7 +420,6 @@ mod tests {
     fn bf16_envelope_holds_on_the_perovskite_fixture() {
         // The documented envelope on the canonical 3×3×3 perovskite patch
         // (the proptests below cover random networks and configurations).
-        use mlmd_qxmd::perovskite::PerovskiteLattice;
         let model = AllegroLite::new(
             ModelConfig {
                 hidden: 8,
