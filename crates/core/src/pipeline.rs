@@ -110,6 +110,10 @@ fn peak_exc(records: &[MeshStepRecord]) -> f64 {
 impl Pipeline {
     /// Stage 0: build the skyrmion-superlattice supercell.
     pub fn new(config: PipelineConfig) -> Self {
+        assert!(
+            config.respond_nn_batches != Some(0),
+            "PipelineConfig::respond_nn_batches must be at least 1 inference batch, got Some(0)"
+        );
         let (nx, ny, nz) = config.cells;
         let tex = Texture::skyrmion_lattice(
             config.skyrmions.0,
@@ -476,6 +480,15 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "respond_nn_batches must be at least 1")]
+    fn zero_respond_nn_batches_is_rejected_at_construction() {
+        Pipeline::new(PipelineConfig {
+            respond_nn_batches: Some(0),
+            ..PipelineConfig::small_demo()
+        });
+    }
 
     #[test]
     fn prepared_superlattice_carries_charge() {

@@ -106,6 +106,10 @@ impl ForceBatch {
     /// `n_batches` as the per-request blocking factor.
     pub fn new(model: AllegroLite, n_batches: usize, expected: usize) -> Self {
         assert!(expected >= 1, "a rendezvous needs at least one participant");
+        assert!(
+            n_batches >= 1,
+            "ForceBatch::new: n_batches must be at least 1"
+        );
         Self {
             net: InferenceModel::new(model),
             n_batches,
@@ -263,6 +267,12 @@ mod tests {
             },
             41,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "ForceBatch::new: n_batches must be at least 1")]
+    fn zero_batches_are_rejected() {
+        ForceBatch::new(model(), 0, 1);
     }
 
     fn random_system(seed: u64, n: usize) -> (Vec<Species>, Vec<Vec3>, Vec3) {

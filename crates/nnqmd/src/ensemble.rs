@@ -47,6 +47,10 @@ impl NnMdEnsemble {
         n_batches: usize,
     ) -> Self {
         assert!(!domains.is_empty(), "an ensemble needs at least one domain");
+        assert!(
+            n_batches >= 1,
+            "NnMdEnsemble::new: n_batches must be at least 1"
+        );
         let mut ensemble = Self {
             domains,
             net: InferenceModel::new(model),
@@ -187,6 +191,12 @@ mod tests {
     fn solo_loop(sys: &AtomsSystem, dt: f64, n_batches: usize) -> MdStage<NnForceField> {
         let force = NnForceField::with_batches(model(), n_batches);
         MdStage::new(sys.clone(), force, dt, None, Xoshiro256::new(0))
+    }
+
+    #[test]
+    #[should_panic(expected = "NnMdEnsemble::new: n_batches must be at least 1")]
+    fn zero_batches_are_rejected() {
+        NnMdEnsemble::new(domains(1), model(), 0.1, 0);
     }
 
     #[test]

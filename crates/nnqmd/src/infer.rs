@@ -5,14 +5,21 @@
 //! limitation in the system scalability and have achieved an
 //! order-of-magnitude larger system size."
 //!
-//! One blocking loop serves every precision: it builds the cell list and
-//! full neighbor lists once per request, partitions the atoms into
-//! batches that bound the modeled device working set, and runs the
+//! One blocking loop serves every precision: it runs the one neighbour
+//! search of `mlmd_qxmd::neighbor` once per request — flat lists, each in
+//! ascending neighbour index, O(N) in any box shape — partitions the atoms
+//! into batches that bound the modeled device working set, and runs the
 //! per-centre kernel (`kernel.rs`, generic over precision) directly on the
 //! cached pairs. Energy is summed per atom in index order, so the result
 //! is bit-invariant under the blocking factor at either precision and
 //! agrees with the monolithic [`AllegroLite::evaluate`] to rounding (both
-//! asserted in tests).
+//! asserted in tests). A request's heap allocations are a fixed number,
+//! independent of its atom count (pinned in `tests/work_counts.rs`).
+//!
+//! The f64 results are pinned by `to_bits` digests on the 160- and
+//! 640-atom perovskite slabs, and checked outward: forces equal −∇E by
+//! central differences at atoms whose neighbours lie across the periodic
+//! boundary, and sum to zero.
 
 use crate::kernel::{accumulate_center, Scratch};
 use crate::model::{AllegroLite, ModelConfig, QuantizedModel};
@@ -95,8 +102,8 @@ pub(crate) fn evaluate_centres<R: Real>(
     atoms: Range<usize>,
 ) -> BlockEvalResult {
     assert!(rq.n_batches >= 1);
-    let cl = CellList::build(rq.positions, rq.box_lengths, cfg.rcut);
-    let lists = cl.full_lists(rq.positions);
+    let lists =
+        CellList::build(rq.positions, rq.box_lengths, cfg.rcut).neighbor_lists(rq.positions);
     let mut energy = 0.0;
     let mut forces = vec![Vec3::ZERO; rq.positions.len()];
     let mut peak = 0u64;
@@ -105,9 +112,10 @@ pub(crate) fn evaluate_centres<R: Real>(
     for lo in atoms.clone().step_by(batch_size) {
         let hi = (lo + batch_size).min(atoms.end);
         // Working set: the neighbor entries of this batch only.
-        let batch_neighbors: usize = lists[lo..hi].iter().map(|l| l.len()).sum();
+        let batch_neighbors = lists.span(lo..hi).len();
         peak = peak.max(batch_neighbors as u64 * bytes_per_neighbor);
-        for (i, neigh) in lists.iter().enumerate().take(hi).skip(lo) {
+        for i in lo..hi {
+            let neigh = lists.of(i);
             energy += accumulate_center(cfg, params, scratch, rq.species, neigh, i, &mut forces);
         }
     }

@@ -40,6 +40,10 @@ impl NnForceField {
 
     /// Explicit neighbor-list blocking factor.
     pub fn with_batches(model: AllegroLite, n_batches: usize) -> Self {
+        assert!(
+            n_batches >= 1,
+            "NnForceField::with_batches: n_batches must be at least 1"
+        );
         Self {
             net: InferenceModel::new(model),
             n_batches,
@@ -157,6 +161,12 @@ mod tests {
             },
             41,
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "NnForceField::with_batches: n_batches must be at least 1")]
+    fn zero_batches_are_rejected() {
+        NnForceField::with_batches(model(), 0);
     }
 
     #[test]

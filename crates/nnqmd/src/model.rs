@@ -94,14 +94,23 @@ pub(crate) fn species_index(s: Species) -> usize {
     }
 }
 
+/// `d = 1 + e^(−x)`: the one exponential [`silu`] and [`silu_deriv`] of
+/// the same `x` share.
 #[inline]
-pub(crate) fn silu<R: Real>(x: R) -> R {
-    x / (R::ONE + (-x).exp())
+pub(crate) fn silu_denom<R: Real>(x: R) -> R {
+    R::ONE + (-x).exp()
 }
 
+/// `silu(x) = x / (1 + e^(−x))`, given `d = silu_denom(x)`.
 #[inline]
-pub(crate) fn silu_deriv<R: Real>(x: R) -> R {
-    let s = R::ONE / (R::ONE + (-x).exp());
+pub(crate) fn silu<R: Real>(x: R, d: R) -> R {
+    x / d
+}
+
+/// `silu'(x) = s·(1 + x·(1 − s))` with `s = 1/d`, given `d = silu_denom(x)`.
+#[inline]
+pub(crate) fn silu_deriv<R: Real>(x: R, d: R) -> R {
+    let s = R::ONE / d;
     s * (R::ONE + x * (R::ONE - s))
 }
 
@@ -224,8 +233,8 @@ impl AllegroLite {
         assert_eq!(species.len(), n);
         let hdim = self.cfg.hidden;
         let kdim = self.cfg.k_max;
-        let cl = CellList::build(positions, box_lengths, self.cfg.rcut);
-        let lists = cl.full_lists(positions);
+        let lists =
+            CellList::build(positions, box_lengths, self.cfg.rcut).neighbor_lists(positions);
         let mut energy = 0.0;
         let mut forces = vec![Vec3::ZERO; n];
         let mut pgrad = if want_pgrad {
@@ -256,7 +265,7 @@ impl AllegroLite {
         }
         for i in 0..n {
             let si = species_index(species[i]);
-            let edges_in = &lists[i];
+            let edges_in = lists.of(i);
             if edges_in.is_empty() {
                 continue;
             }
@@ -276,7 +285,7 @@ impl AllegroLite {
                         acc += self.w0(pt, h, k) * bv;
                     }
                     x0[h] = acc;
-                    h0[h] = silu(acc);
+                    h0[h] = silu(acc, silu_denom(acc));
                 }
                 let mut a = 0.0;
                 for (h, &h0h) in h0.iter().enumerate() {
@@ -315,7 +324,7 @@ impl AllegroLite {
                     acc += self.u(h, hdim) * q_i;
                     acc += self.u(h, hdim + 1) * p;
                     x1[h] = acc;
-                    h1[h] = silu(acc);
+                    h1[h] = silu(acc, silu_denom(acc));
                 }
                 for (h, &h1h) in h1.iter().enumerate() {
                     energy += self.we(h) * h1h;
@@ -330,7 +339,7 @@ impl AllegroLite {
             for (eidx, (e, c)) in edges.iter().zip(&l1).enumerate() {
                 let _ = e;
                 for h in 0..hdim {
-                    let gx1 = self.we(h) * silu_deriv(c.x1[h]);
+                    let gx1 = self.we(h) * silu_deriv(c.x1[h], silu_denom(c.x1[h]));
                     if let Some(g) = pgrad.as_deref_mut() {
                         g[self.off.we + h] += c.h1[h];
                         g[self.off.b1 + h] += gx1;
@@ -359,7 +368,7 @@ impl AllegroLite {
                 let mut gr = 0.0; // dE/dr for this edge
                 for h in 0..hdim {
                     let gh0 = gh0_l1[eidx][h] + self.wv(h) * ga;
-                    let gx0 = gh0 * silu_deriv(e.x0[h]);
+                    let gx0 = gh0 * silu_deriv(e.x0[h], silu_denom(e.x0[h]));
                     if let Some(g) = pgrad.as_deref_mut() {
                         g[self.off.wv + h] += e.h0[h] * ga;
                         g[self.off.b0 + e.pt * hdim + h] += gx0;

@@ -11,6 +11,7 @@
 //! | `MdStage<SupercellForce>::advance`, analytic, `small_demo` | 1 | 512 cells × 24 B (`displacement_field`) |
 //! | `Langevin::apply`, after the first call | 0 | 0 |
 //! | `MeshDriver::step`, `small_mesh_driver` | 85 at `n_qd` 30 and 60: none per QD step | — |
+//! | `block_evaluate`, respond network, 4×4×2 and 8×8×2 perovskite | 23 at 160 and 640 atoms: none per atom | — |
 //!
 //! It also pins the modeled host↔device traffic of the canonical MESH
 //! fixture (`small_mesh_driver`: 8³ grid, 8 orbitals) on its
@@ -34,10 +35,13 @@ use mlmd::core::pipeline::{Pipeline, MESH_STAGE_EDGE};
 use mlmd::dcmesh::fixture::small_mesh_driver;
 use mlmd::lfd::hartree::Multigrid;
 use mlmd::lfd::propagator::FLOPS_PER_VLOC_POINT;
+use mlmd::nnqmd::infer::block_evaluate;
+use mlmd::nnqmd::model::{AllegroLite, ModelConfig};
 use mlmd::numerics::flops::{gemm_tally, reset_gemm_tally};
 use mlmd::numerics::grid::Grid3;
 use mlmd::numerics::rng::Xoshiro256;
 use mlmd::numerics::vec3::Vec3;
+use mlmd::qxmd::perovskite::PerovskiteLattice;
 use mlmd::qxmd::thermostat::Langevin;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -223,4 +227,32 @@ fn hartree_probe_multigrid_cycles_are_exact() {
         .collect();
     let (_, cycles) = Multigrid::new(grid).solve(&rho, 1e-8, 50);
     assert_eq!(cycles, 5, "V-cycles to tol 1e-8 on the 8³ probe");
+}
+
+#[test]
+fn block_evaluate_allocations_do_not_grow_with_atoms() {
+    // The respond stage's network on the 160-atom and the 640-atom
+    // (`nn_response_f64`) slab: one neighbour search in flat lists and a
+    // kernel scratch sized by the largest neighbourhood, whatever N.
+    let model = AllegroLite::new(
+        ModelConfig {
+            hidden: 6,
+            k_max: 4,
+            rcut: 3.5,
+        },
+        41,
+    );
+    let per_call = |nx: usize, ny: usize| {
+        let sys = PerovskiteLattice::uniform(nx, ny, 2, Vec3::new(0.0, 0.0, 0.1)).system;
+        allocations(|| {
+            block_evaluate(&model, &sys.species, &sys.positions, sys.box_lengths, 4);
+        })
+        .0
+    };
+    let (at_160, at_640) = (per_call(4, 4), per_call(8, 8));
+    assert_eq!(
+        at_160, at_640,
+        "allocations per block_evaluate at 160 vs 640 atoms"
+    );
+    assert_eq!(at_160, 23, "allocations per block_evaluate");
 }
