@@ -7,8 +7,9 @@
 # integration, and doc tests), the release-mode host-timing gates, the
 # release-mode pipeline suite (the ten-seed switching verdict), the
 # release-mode Ehrenfest golden digests and MESH distributed pins, the
-# benchmark smoke, and the doc, link, formatting and lint checks. Exits
-# non-zero on the first failure.
+# release-mode NN inference pins and neighbour oracle, the benchmark
+# smoke, and the doc, link, formatting and lint checks. Exits non-zero on
+# the first failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,6 +29,10 @@ cargo test --release -q --test engine_pipeline
 echo "==> cargo test --release -q -p mlmd-dcmesh --lib ehrenfest && cargo test --release -q --test mesh_dist  (Ehrenfest golden digests and MESH distributed pins hold under the optimizer)"
 cargo test --release -q -p mlmd-dcmesh --lib ehrenfest
 cargo test --release -q --test mesh_dist
+
+echo "==> cargo test --release -q -p mlmd-nnqmd --lib && cargo test --release -q -p mlmd-qxmd --lib neighbor  (NN inference pins + neighbour oracle hold under the optimizer)"
+cargo test --release -q -p mlmd-nnqmd --lib
+cargo test --release -q -p mlmd-qxmd --lib neighbor
 
 echo "==> benchmark/run.sh --smoke  (all six BENCHMARK.json workloads, every output check, 0 failed)"
 CARGO_TARGET_DIR="$PWD/target" benchmark/run.sh --smoke
