@@ -734,6 +734,34 @@ mod tests {
     }
 
     #[test]
+    fn waiter_blocked_on_a_panicking_compute_recomputes() {
+        // The retry test above only has a caller that arrives after the
+        // panic; this one is already parked on the in-flight compute
+        // when it unwinds, and must be released to compute itself.
+        let cache = GroundStateCache::new();
+        let gs = sample_gs(10);
+        let key = gs.key;
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let panicker = {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                cache.get_or_compute(key, || {
+                    started_tx.send(()).expect("test thread alive");
+                    // Give the waiter time to park on this compute.
+                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    panic!("descent diverged");
+                });
+            })
+        };
+        started_rx.recv().expect("panicker started its compute");
+        let back = cache.get_or_compute(key, || gs.clone());
+        assert!(panicker.join().is_err());
+        assert_eq!(back.panel.panel_digest(), gs.panel.panel_digest());
+        assert_eq!(cache.computes(), 1);
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
     fn keys_separate_problems_and_salt_domains() {
         let grid = Grid3::new(4, 4, 4, 0.5);
         let a = WaveFunctions::random(grid, 2, 1);

@@ -29,10 +29,21 @@
 //! | GEMM flops per `MeshDriver::step` (`numerics.gemm_flops_per_mesh_step`) | 2 NAC overlaps × 8 N_orb² N_grid = 524 288 |
 //! | QD flops per `MeshDriver::step` (`shadow.qd.flops`) | n_qd × (2 · 6 N_grid N_orb + `flops_per_steps(N_orb, 1)`) |
 //! | `Multigrid::solve` V-cycles, 8³ probe density at tol 1e-8 (`lfd.hartree_mg_cycles`) | 5 |
+//!
+//! and the collectives of a one-domain `DistributedMeshDriver` over
+//! `small_mesh_builder` (`parallel.collectives_per_step`,
+//! `parallel.bytes_per_step`), counted by `World::run_probed`:
+//!
+//! | collective | calls per rank | logical bytes, all ranks |
+//! |---|---|---|
+//! | world `AllreduceSumVec`, per MESH step | 1 | 16 per rank (E, J) |
+//! | domain `AllgatherVec`, per MESH step, above 1 rank | 4 | 73 344 at 2 and 4 ranks: ψ 65 536 + current terms 7 680 + 64 + 64 |
+//! | domain `Bcast`, construction, above 1 rank | 1 | 152 per rank (the root-resolved ground state) |
 
 use mlmd::core::config::PipelineConfig;
 use mlmd::core::pipeline::{Pipeline, MESH_STAGE_EDGE};
-use mlmd::dcmesh::fixture::small_mesh_driver;
+use mlmd::dcmesh::dist_mesh::DistributedMeshDriver;
+use mlmd::dcmesh::fixture::{small_mesh_builder, small_mesh_driver};
 use mlmd::lfd::hartree::Multigrid;
 use mlmd::lfd::propagator::FLOPS_PER_VLOC_POINT;
 use mlmd::nnqmd::infer::block_evaluate;
@@ -41,10 +52,12 @@ use mlmd::numerics::flops::{gemm_tally, reset_gemm_tally};
 use mlmd::numerics::grid::Grid3;
 use mlmd::numerics::rng::Xoshiro256;
 use mlmd::numerics::vec3::Vec3;
+use mlmd::parallel::comm::{CollectiveOp, World};
 use mlmd::qxmd::perovskite::PerovskiteLattice;
 use mlmd::qxmd::thermostat::Langevin;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 struct Counting;
@@ -227,6 +240,49 @@ fn hartree_probe_multigrid_cycles_are_exact() {
         .collect();
     let (_, cycles) = Multigrid::new(grid).solve(&rho, 1e-8, 50);
     assert_eq!(cycles, 5, "V-cycles to tol 1e-8 on the 8³ probe");
+}
+
+/// Collective counters of a one-domain `DistributedMeshDriver` over
+/// `small_mesh_builder` on `ranks` ranks, after construction and `steps`
+/// MESH steps, summed over ranks and communicators:
+/// `(op, on the world communicator) → (calls, logical bytes)`.
+fn dist_mesh_collectives(ranks: usize, steps: usize) -> BTreeMap<(CollectiveOp, bool), (u64, u64)> {
+    let (_, rows) = World::run_probed(ranks, |world| {
+        DistributedMeshDriver::new(world, 1, |_| small_mesh_builder(0.05)).run(steps);
+    });
+    let mut totals = BTreeMap::new();
+    for row in rows {
+        let entry = totals.entry((row.op, row.comm == 0)).or_insert((0, 0));
+        entry.0 += row.stats.ops;
+        entry.1 += row.stats.bytes;
+    }
+    totals
+}
+
+#[test]
+fn distributed_mesh_collectives_and_bytes_are_exact() {
+    use CollectiveOp::{AllgatherVec, AllreduceSumVec, Bcast};
+    for ranks in [1u64, 2, 4] {
+        for steps in [0u64, 2] {
+            // Each step: one world E/J exchange per rank…
+            let mut want =
+                BTreeMap::from([((AllreduceSumVec, true), (steps * ranks, steps * ranks * 16))]);
+            if ranks > 1 {
+                // …and the four domain allgathers (sub-panels, current
+                // terms, excitation terms, band energies), whose shares
+                // sum to the same bytes at any rank count; construction
+                // broadcasts the root-resolved ground state once.
+                want.insert((AllgatherVec, false), (steps * 4 * ranks, steps * 73_344));
+                want.insert((Bcast, false), (ranks, ranks * 152));
+            }
+            want.retain(|_, &mut (calls, _)| calls > 0);
+            assert_eq!(
+                dist_mesh_collectives(ranks as usize, steps as usize),
+                want,
+                "(calls, bytes) per collective at {ranks} ranks after {steps} steps"
+            );
+        }
+    }
 }
 
 #[test]
