@@ -42,7 +42,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// First 8 bytes of every checkpoint: `b"MLMDGSCP"` as a little-endian
 /// u64 ("MLMD ground-state checkpoint").
@@ -112,70 +112,10 @@ pub fn ground_state_key(
     h.finish()
 }
 
-/// One key's slot: either a finished ground state, or a marker that some
-/// thread is currently computing it (with the rendezvous the waiters
-/// block on).
-enum Slot {
-    Ready(GroundState),
-    InFlight(Arc<InFlight>),
-}
-
-/// Rendezvous for concurrent `get_or_compute` callers on the same key:
-/// the first caller computes, the rest wait here.
-struct InFlight {
-    state: Mutex<FlightState>,
-    done: Condvar,
-}
-
-enum FlightState {
-    Pending,
-    Done(GroundState),
-    /// The computing closure panicked; waiters re-enter the loop and one
-    /// of them becomes the new computer.
-    Failed,
-}
-
-impl InFlight {
-    fn new() -> Self {
-        Self {
-            state: Mutex::new(FlightState::Pending),
-            done: Condvar::new(),
-        }
-    }
-
-    fn resolve(&self, state: FlightState) {
-        *self.state.lock().expect("in-flight slot poisoned") = state;
-        self.done.notify_all();
-    }
-}
-
-/// Panic guard armed while `compute` runs: if the closure unwinds, the
-/// in-flight slot is removed from the map and its waiters released with
-/// `Failed` (so they retry instead of hanging forever on a descent that
-/// will never finish).
-struct FlightGuard<'a> {
-    cache: &'a GroundStateCache,
-    key: u64,
-    flight: Arc<InFlight>,
-    armed: bool,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut map = self.cache.inner.map.lock().expect("cache poisoned");
-        if matches!(map.get(&self.key), Some(Slot::InFlight(f)) if Arc::ptr_eq(f, &self.flight)) {
-            map.remove(&self.key);
-        }
-        drop(map);
-        self.flight.resolve(FlightState::Failed);
-    }
-}
-
 struct CacheInner {
-    map: Mutex<HashMap<u64, Slot>>,
+    /// One cell per key ever requested; the map is locked only to fetch
+    /// or insert a key's cell, never while a descent runs.
+    map: Mutex<HashMap<u64, Arc<OnceLock<GroundState>>>>,
     computes: AtomicU64,
 }
 
@@ -208,60 +148,32 @@ impl GroundStateCache {
     }
 
     /// Return the cached ground state for `key`, computing and caching
-    /// it on a miss. `compute` runs outside the lock, and concurrent
-    /// callers on the same key are serialized through an in-flight
-    /// guard: exactly one caller runs the descent, the rest block until
-    /// it publishes (no thundering herd — `computes()` counts one per
-    /// key no matter how many threads race). If the computing closure
-    /// panics, the waiters are released and one of them retries.
+    /// it on a miss. Each key has one `OnceLock`, and `compute` runs
+    /// outside the map lock through `get_or_init`: exactly one caller
+    /// runs the descent, concurrent callers on the same key block until
+    /// it publishes (no thundering herd — `computes()` counts one per key
+    /// no matter how many threads race). If the computing closure
+    /// panics, the cell stays empty and one waiter computes instead.
     pub fn get_or_compute(&self, key: u64, compute: impl FnOnce() -> GroundState) -> GroundState {
-        let flight = loop {
-            // One lock round decides this caller's role: hit, waiter, or
-            // computer (installing the in-flight marker atomically).
-            let waited = {
-                let mut map = self.inner.map.lock().expect("cache poisoned");
-                match map.get(&key) {
-                    Some(Slot::Ready(gs)) => return gs.clone(),
-                    Some(Slot::InFlight(f)) => Arc::clone(f),
-                    None => {
-                        let f = Arc::new(InFlight::new());
-                        map.insert(key, Slot::InFlight(Arc::clone(&f)));
-                        break f;
-                    }
-                }
-            };
-            let mut state = waited.state.lock().expect("in-flight slot poisoned");
-            while matches!(*state, FlightState::Pending) {
-                state = waited.done.wait(state).expect("in-flight slot poisoned");
-            }
-            match &*state {
-                FlightState::Done(gs) => return gs.clone(),
-                // Computer panicked: retry (this caller may become the
-                // new computer on the next loop round).
-                FlightState::Failed => continue,
-                FlightState::Pending => unreachable!("loop exits only on Done/Failed"),
-            }
-        };
-        let mut guard = FlightGuard {
-            cache: self,
-            key,
-            flight: Arc::clone(&flight),
-            armed: true,
-        };
-        let gs = compute();
-        assert_eq!(
-            gs.key, key,
-            "cache key {key:#018x} does not match the computed ground state's key {:#018x}",
-            gs.key
+        let cell = Arc::clone(
+            self.inner
+                .map
+                .lock()
+                .expect("cache poisoned")
+                .entry(key)
+                .or_default(),
         );
-        self.inner.computes.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut map = self.inner.map.lock().expect("cache poisoned");
-            map.insert(key, Slot::Ready(gs.clone()));
-        }
-        guard.armed = false;
-        flight.resolve(FlightState::Done(gs.clone()));
-        gs
+        cell.get_or_init(|| {
+            let gs = compute();
+            assert_eq!(
+                gs.key, key,
+                "cache key {key:#018x} does not match the computed ground state's key {:#018x}",
+                gs.key
+            );
+            self.inner.computes.fetch_add(1, Ordering::Relaxed);
+            gs
+        })
+        .clone()
     }
 
     /// Number of cached (finished) ground states.
@@ -271,7 +183,7 @@ impl GroundStateCache {
             .lock()
             .expect("cache poisoned")
             .values()
-            .filter(|slot| matches!(slot, Slot::Ready(_)))
+            .filter(|cell| cell.get().is_some())
             .count()
     }
 

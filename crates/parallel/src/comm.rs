@@ -1,5 +1,5 @@
 //! Simulated MPI: ranks as threads, typed tag-matched point-to-point
-//! messages over crossbeam channels, collectives built on top (in a
+//! messages over `std::sync::mpsc` channels, collectives built on top (in a
 //! reserved tag namespace disjoint from user traffic), and
 //! `MPI_Comm_split` with channel reclamation when a communicator's last
 //! handle drops.
@@ -10,10 +10,10 @@
 //! gathers, and hierarchical band/space decompositions run for real on tens
 //! of ranks (the remaining 10⁴× of Aurora is handled by `mlmd-exasim`).
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 type Payload = Box<dyn Any + Send>;
@@ -89,7 +89,10 @@ pub struct CollectiveRecord {
     pub stats: OpStats,
 }
 
-type Channel = (Sender<Envelope>, Receiver<Envelope>);
+/// One `(comm, src, dst)` channel. A receiver is not `Sync`, so its end
+/// leaves the map behind a mutex; only the destination rank receives, so
+/// that mutex is never contended.
+type Channel = (Sender<Envelope>, Arc<Mutex<Receiver<Envelope>>>);
 
 /// Environment variable overriding the default recv-stall timeout, in
 /// (possibly fractional) seconds. Must parse as a positive float.
@@ -115,8 +118,9 @@ pub fn default_recv_stall() -> std::time::Duration {
     }
 }
 
-/// Lock a fabric or stash mutex, recovering the guard if a panicking rank
-/// poisoned it: every critical section here leaves its map consistent.
+/// Lock a fabric, stash or receiver mutex, recovering the guard if a
+/// panicking rank poisoned it: every critical section here leaves its
+/// map or channel consistent.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -170,11 +174,11 @@ impl Fabric {
 
     fn endpoint(&self, comm: u64, src: usize, dst: usize) -> Channel {
         let mut map = lock(&self.channels);
-        let (s, r) = map
-            .entry((comm, src, dst))
-            .or_insert_with(unbounded)
-            .clone();
-        (s, r)
+        let (s, r) = map.entry((comm, src, dst)).or_insert_with(|| {
+            let (s, r) = channel();
+            (s, Arc::new(Mutex::new(r)))
+        });
+        (s.clone(), Arc::clone(r))
     }
 
     fn fresh_comm_id(&self) -> u64 {
@@ -346,6 +350,7 @@ impl Comm {
         };
         let payload = payload.unwrap_or_else(|| {
             let (_, r) = self.fabric.endpoint(self.id, g_src, g_dst);
+            let r = lock(&r);
             loop {
                 let env = match r.recv_timeout(stall) {
                     Ok(env) => env,

@@ -19,8 +19,8 @@
 //!   work runs.
 //! * [`progress::ProgressObserver`] — structured progress streaming on
 //!   the `Observer` seam: wraps any inner observer and emits
-//!   [`progress::JobEvent`]s over crossbeam channels at a configurable
-//!   stride.
+//!   [`progress::JobEvent`]s over `std::sync::mpsc` channels at a
+//!   configurable stride.
 //! * [`scheduler::Scheduler`] — the service itself: a bounded
 //!   priority/fairness queue (admission control + backpressure) feeding
 //!   worker threads that execute jobs on the shared work-stealing pool,

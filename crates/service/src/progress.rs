@@ -3,14 +3,14 @@
 //! Built on the engine's `Observer` seam: [`ProgressObserver`] wraps any
 //! inner observer (delegating every record to it unchanged) and
 //! additionally publishes [`JobEvent::Progress`] envelopes over a
-//! crossbeam channel at a configurable [`SampleStride`]. The scheduler
+//! `std::sync::mpsc` channel at a configurable [`SampleStride`]. The scheduler
 //! publishes the remaining lifecycle events ([`JobEvent::Queued`],
 //! `Started`, `Deduped`, `Cancelled`, `Completed`) on the same channels,
 //! so a client watching a [`crate::scheduler::JobHandle`]'s event stream
 //! sees the whole story of its job in order.
 
-use crossbeam::channel::{Receiver, Sender};
 use mlmd_core::engine::{Observer, SampleStride, StepInfo, Stepper};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Service-assigned job identifier, unique within one scheduler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -65,8 +65,9 @@ impl JobEvent {
 
 /// Fan-out sink for [`JobEvent`]s: one send clones the event to every
 /// attached channel (the job's own handle stream plus any scheduler-wide
-/// subscribers). Sends never block (channels are unbounded) and ignore
-/// dropped receivers — a client that walked away must not wedge a worker.
+/// subscribers). Sends never block (channels are unbounded), and an event
+/// for a dropped receiver is discarded at send — a client that walked
+/// away neither wedges a worker nor leaves a queue growing behind it.
 #[derive(Clone, Default)]
 pub struct EventSink {
     senders: Vec<Sender<JobEvent>>,
@@ -79,7 +80,7 @@ impl EventSink {
 
     /// Attach another channel; returns the receiving end.
     pub fn attach(&mut self) -> Receiver<JobEvent> {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         self.senders.push(tx);
         rx
     }

@@ -53,11 +53,11 @@
 
 use crate::job::{JobOutput, JobResult, JobSpec, Priority};
 use crate::progress::{EventSink, JobEvent, JobId};
-use crossbeam::channel::{Receiver, Sender};
 use mlmd_core::engine::{CancelToken, SampleStride};
 use mlmd_exasim::planner::{PlanVerdict, Planner, Prediction};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -744,7 +744,7 @@ impl Scheduler {
     /// A scheduler-wide event stream carrying every event of every job
     /// submitted *after* this call — the live dashboard feed.
     pub fn subscribe(&self) -> Receiver<JobEvent> {
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = channel();
         self.inner
             .queue
             .lock()

@@ -12,6 +12,7 @@
 //! | `Langevin::apply`, after the first call | 0 | 0 |
 //! | `MeshDriver::step`, `small_mesh_driver` | 85 at `n_qd` 30 and 60: none per QD step | — |
 //! | `block_evaluate`, respond network, 4×4×2 and 8×8×2 perovskite | 23 at 160 and 640 atoms: none per atom | — |
+//! | 10 000 `EventSink::emit` to a dropped receiver | 0 | 0 |
 //!
 //! It also pins the modeled host↔device traffic of the canonical MESH
 //! fixture (`small_mesh_driver`: 8³ grid, 8 orbitals) on its
@@ -55,6 +56,8 @@ use mlmd::numerics::vec3::Vec3;
 use mlmd::parallel::comm::{CollectiveOp, World};
 use mlmd::qxmd::perovskite::PerovskiteLattice;
 use mlmd::qxmd::thermostat::Langevin;
+use mlmd::service::progress::EventSink;
+use mlmd::service::{JobEvent, JobId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -311,4 +314,21 @@ fn block_evaluate_allocations_do_not_grow_with_atoms() {
         "allocations per block_evaluate at 160 vs 640 atoms"
     );
     assert_eq!(at_160, 23, "allocations per block_evaluate");
+}
+
+#[test]
+fn events_for_a_dropped_receiver_allocate_nothing() {
+    // A subscriber that walked away: its events are discarded at send,
+    // not queued for the lifetime of the sink.
+    let mut sink = EventSink::new();
+    drop(sink.attach());
+    assert_eq!(
+        allocations(|| {
+            for _ in 0..10_000 {
+                sink.emit(JobEvent::Started { id: JobId(1) });
+            }
+        }),
+        (0, 0),
+        "(allocations, bytes) of 10 000 emits to a dropped receiver"
+    );
 }
