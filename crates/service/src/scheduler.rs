@@ -455,38 +455,28 @@ impl SchedInner {
             return;
         }
         // Queued: resolve immediately, never execute.
-        match q.groups.get_mut(&key) {
+        let followers = match q.groups.get_mut(&key) {
+            // Cancelling the group's one execution: followers share its
+            // fate. The dead queue entry is skipped on pop.
             Some(group) if Arc::ptr_eq(&group.primary, core) => {
-                // Cancelling the group's one execution: followers share
-                // its fate. The dead queue entry is skipped on pop.
-                let group = q.groups.remove(&key).expect("group just found");
-                q.active.remove(&core.id);
-                for f in &group.followers {
-                    q.active.remove(&f.id);
-                }
-                drop(q);
-                core.resolve(unstarted_cancelled());
-                self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                for f in group.followers {
-                    f.resolve(unstarted_cancelled());
-                    self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                }
+                q.groups.remove(&key).expect("group just found").followers
             }
+            // A follower detaches alone; the execution lives on.
             Some(group) => {
-                // A follower detaches alone; the execution lives on.
                 group.followers.retain(|f| !Arc::ptr_eq(f, core));
-                q.active.remove(&core.id);
-                drop(q);
-                core.resolve(unstarted_cancelled());
-                self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+                Vec::new()
             }
-            None => {
-                // Dedup off (or group already gone): solo queued job.
-                q.active.remove(&core.id);
-                drop(q);
-                core.resolve(unstarted_cancelled());
-                self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-            }
+            // Dedup off (or group already gone): solo queued job.
+            None => Vec::new(),
+        };
+        // Resolve before releasing the queue lock: a worker popping the
+        // entry in between would find it unresolved and run it. Resolving
+        // only sets state and sends on unbounded channels, and the lock
+        // order is queue → job state, as in `worker_loop`.
+        for job in std::iter::once(core).chain(&followers) {
+            q.active.remove(&job.id);
+            job.resolve(unstarted_cancelled());
+            self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -998,6 +988,46 @@ mod tests {
         for out in &outputs[1..] {
             assert!(Arc::ptr_eq(&outputs[0], out), "result is shared, not rerun");
         }
+        s.shutdown();
+    }
+
+    #[test]
+    fn jobs_cancelled_while_queued_never_start() {
+        // Submit-then-cancel races the one worker's pop: a cancel that
+        // finds the job queued must resolve it before any worker can
+        // pop it unresolved and run it.
+        const N: usize = 2_000;
+        let s = Scheduler::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: N + 1,
+            progress_stride: SampleStride::EVERY,
+            dedup: false,
+            planner: None,
+        });
+        let handles: Vec<JobHandle> = (0..N)
+            .map(|_| {
+                let h = s.submit(fdtd(2, 0.5)).unwrap();
+                h.cancel();
+                h
+            })
+            .collect();
+        // The worker serves FIFO: once this completes, every earlier
+        // entry has been popped and any execution of it has finished.
+        assert!(!s.submit(fdtd(2, 0.5)).unwrap().wait().cancelled);
+        for h in &handles {
+            let unstarted = matches!(h.wait().result, JobResult::Unstarted);
+            let started = h
+                .events()
+                .try_iter()
+                .any(|e| matches!(e, JobEvent::Started { .. }));
+            assert!(
+                !(unstarted && started),
+                "{} resolved unstarted yet started",
+                h.id()
+            );
+        }
+        let m = s.metrics();
+        assert_eq!(m.cancelled + m.completed, N as u64 + 1);
         s.shutdown();
     }
 
