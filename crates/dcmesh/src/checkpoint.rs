@@ -11,10 +11,10 @@
 //!   needs to resume from it (occupations, `v_loc⁰`, descent metadata),
 //!   keyed by an FNV config hash ([`ground_state_key`]);
 //! * [`GroundStateCache`] — a thread-safe in-memory map from config key
-//!   to ground state, with a process-wide instance
+//!   to one `OnceLock` per ground state, with a process-wide instance
 //!   ([`GroundStateCache::global`]) so `RunPlan` batches and
 //!   `pump_probe_sweep` amplitudes share one descent per config
-//!   (N amplitudes = 1 descent);
+//!   (N amplitudes = 1 descent, however many callers race);
 //! * [`WarmStart`] — the source a builder resolves its ground state
 //!   from: `Fresh` (always descend), `InMemory` (a cache), or `File` (a
 //!   checkpoint on disk);
