@@ -1,5 +1,6 @@
 //! Property tests: simulated-MPI collectives agree with their serial
-//! definitions for arbitrary rank counts and payloads.
+//! definitions for arbitrary rank counts and payloads, and point-to-point
+//! delivery is FIFO per (source, tag).
 
 use mlmd_parallel::comm::World;
 use mlmd_parallel::hier::{partition, Hierarchy};
@@ -111,4 +112,69 @@ proptest! {
             prop_assert_eq!(&v, &expect);
         }
     }
+
+    #[test]
+    fn tag_matching_is_fifo_per_source_and_tag(
+        n in 2usize..6,
+        tags in prop::collection::vec(0u64..4, 1..12),
+    ) {
+        // Every rank sends the same tag sequence to every peer (the value
+        // is the send index), a collective runs over the still-unconsumed
+        // envelopes, and each receiver then drains tag by tag in
+        // descending order — the reverse of how most of them arrived.
+        // Per (source, tag), values must still come out in send order.
+        let seq = tags.clone();
+        let out = World::run(n, move |c| {
+            for dst in (0..c.size()).filter(|&d| d != c.rank()) {
+                for (i, &tag) in seq.iter().enumerate() {
+                    c.send(dst, tag, i);
+                }
+            }
+            let total = c.allreduce_sum(1.0);
+            let mut drained = Vec::new();
+            for tag in (0..4u64).rev() {
+                for src in (0..c.size()).filter(|&s| s != c.rank()) {
+                    let got: Vec<usize> = seq
+                        .iter()
+                        .filter(|&&t| t == tag)
+                        .map(|_| c.recv(src, tag))
+                        .collect();
+                    drained.push((src, tag, got));
+                }
+            }
+            (total, drained)
+        });
+        for (total, drained) in out {
+            prop_assert_eq!(total, n as f64);
+            for (src, tag, got) in drained {
+                let expect: Vec<usize> = (0..tags.len()).filter(|&i| tags[i] == tag).collect();
+                prop_assert_eq!(got, expect, "source {} tag {}", src, tag);
+            }
+        }
+    }
+}
+
+#[test]
+fn queued_messages_outlive_the_senders_handle() {
+    // Sub-rank 0 of a 3-rank communicator queues three messages for each
+    // peer and drops its handle before the peers start receiving: the
+    // envelopes belong to the communicator, not to the sender's handle,
+    // so they must all still be delivered.
+    let out = World::run(3, |world| {
+        let sub = world.split(0, world.rank() as u64);
+        if sub.rank() == 0 {
+            for dst in 1..3 {
+                for i in 0..3u64 {
+                    sub.send(dst, 0, i * 10u64.pow(dst as u32 - 1));
+                }
+            }
+            drop(sub);
+            world.barrier();
+            None
+        } else {
+            world.barrier();
+            Some((0..3).map(|_| sub.recv::<u64>(0, 0)).sum::<u64>())
+        }
+    });
+    assert_eq!(out, vec![None, Some(3), Some(30)]);
 }
