@@ -1,8 +1,12 @@
 //! Simulated MPI: ranks as threads, typed tag-matched point-to-point
-//! messages over `std::sync::mpsc` channels, collectives built on top (in a
-//! reserved tag namespace disjoint from user traffic), and
-//! `MPI_Comm_split` with channel reclamation when a communicator's last
-//! handle drops.
+//! messages, collectives built on top (in a reserved tag namespace
+//! disjoint from user traffic), and `MPI_Comm_split`.
+//!
+//! Each communicator owns one mailbox per member rank, and a mailbox keeps
+//! one FIFO queue per (source, tag): a send appends to the destination's
+//! queue, and a receive pops the front of its own, so tag matching is a
+//! lookup. Every handle of a communicator shares its mailboxes through an
+//! `Arc`, so they are reclaimed when the last handle on any rank drops.
 //!
 //! The goal is functional fidelity, not wire-level fidelity: the DC-MESH
 //! and XS-NNQMD drivers are written against this API exactly as the paper's
@@ -11,29 +15,23 @@
 //! of ranks (the remaining 10⁴× of Aurora is handled by `mlmd-exasim`).
 
 use std::any::Any;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 type Payload = Box<dyn Any + Send>;
 
 /// Collective traffic lives in its own tag namespace: the high bit is
 /// reserved, so no user tag can ever collide with an internal collective
-/// message on the same channel. User `send`/`recv` reject tags that set
+/// message from the same source. User `send`/`recv` reject tags that set
 /// this bit (the simulated analogue of MPI's reserved internal tags).
 pub const COLLECTIVE_TAG_BIT: u64 = 1 << 63;
 
 const TAG_BARRIER: u64 = COLLECTIVE_TAG_BIT | 1;
 const TAG_BCAST: u64 = COLLECTIVE_TAG_BIT | 2;
 const TAG_GATHER: u64 = COLLECTIVE_TAG_BIT | 3;
-const TAG_SPLIT: u64 = COLLECTIVE_TAG_BIT | 4;
-const TAG_SCATTER: u64 = COLLECTIVE_TAG_BIT | 5;
-
-struct Envelope {
-    tag: u64,
-    payload: Payload,
-}
+const TAG_SCATTER: u64 = COLLECTIVE_TAG_BIT | 4;
 
 /// Which collective an instrumented counter row belongs to. Composite
 /// collectives (`allgather` = gather + bcast, `allreduce` = reduce +
@@ -89,11 +87,6 @@ pub struct CollectiveRecord {
     pub stats: OpStats,
 }
 
-/// One `(comm, src, dst)` channel. A receiver is not `Sync`, so its end
-/// leaves the map behind a mutex; only the destination rank receives, so
-/// that mutex is never contended.
-type Channel = (Sender<Envelope>, Arc<Mutex<Receiver<Envelope>>>);
-
 /// Environment variable overriding the default recv-stall timeout, in
 /// (possibly fractional) seconds. Must parse as a positive float.
 pub const RECV_STALL_ENV: &str = "MLMD_RECV_STALL_SECS";
@@ -102,7 +95,7 @@ pub const RECV_STALL_ENV: &str = "MLMD_RECV_STALL_SECS";
 /// the value of [`RECV_STALL_ENV`] — the knob slow CI machines raise so a
 /// long root-side compute before a broadcast (a multigrid solve, a
 /// ground-state descent) can't trip a false stall panic.
-pub fn default_recv_stall() -> std::time::Duration {
+pub fn default_recv_stall() -> Duration {
     match std::env::var(RECV_STALL_ENV) {
         Ok(s) => {
             let secs: f64 = s.parse().unwrap_or_else(|_| {
@@ -112,43 +105,37 @@ pub fn default_recv_stall() -> std::time::Duration {
                 secs > 0.0 && secs.is_finite(),
                 "{RECV_STALL_ENV} must be positive and finite, got {s:?}"
             );
-            std::time::Duration::from_secs_f64(secs)
+            Duration::from_secs_f64(secs)
         }
-        Err(_) => std::time::Duration::from_secs(60),
+        Err(_) => Duration::from_secs(60),
     }
 }
 
-/// Lock a fabric, stash or receiver mutex, recovering the guard if a
-/// panicking rank poisoned it: every critical section here leaves its
-/// map or channel consistent.
+/// Lock a stats or mailbox mutex, recovering the guard if a panicking
+/// rank poisoned it: every critical section here leaves its map
+/// consistent.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Shared message fabric: lazily-created channels keyed by
-/// (communicator id, global source, global destination).
+/// State shared by every communicator of one world.
 struct Fabric {
-    channels: Mutex<HashMap<(u64, usize, usize), Channel>>,
     comm_ids: AtomicU64,
-    /// Live `Comm` handle count per communicator id. When the last handle
-    /// of a communicator drops (across all ranks), its channels are
-    /// reclaimed — otherwise drivers that `split` per step leak channels
-    /// without bound.
-    live: Mutex<HashMap<u64, usize>>,
+    /// Number of communicators with at least one live handle.
+    live: AtomicUsize,
     /// How long a `recv` with no matching envelope waits before it is
     /// declared a protocol error.
-    stall: std::time::Duration,
+    stall: Duration,
     /// Per-(communicator, collective) counters, fed by the public
     /// collective entry points on every member rank.
     stats: Mutex<HashMap<(u64, CollectiveOp), OpStats>>,
 }
 
 impl Fabric {
-    fn with_stall(stall: std::time::Duration) -> Self {
+    fn with_stall(stall: Duration) -> Self {
         Self {
-            channels: Mutex::new(HashMap::new()),
             comm_ids: AtomicU64::new(1),
-            live: Mutex::new(HashMap::new()),
+            live: AtomicUsize::new(0),
             stall,
             stats: Mutex::new(HashMap::new()),
         }
@@ -171,72 +158,39 @@ impl Fabric {
         rows.sort_by_key(|r| (r.comm, r.op));
         rows
     }
-
-    fn endpoint(&self, comm: u64, src: usize, dst: usize) -> Channel {
-        let mut map = lock(&self.channels);
-        let (s, r) = map.entry((comm, src, dst)).or_insert_with(|| {
-            let (s, r) = channel();
-            (s, Arc::new(Mutex::new(r)))
-        });
-        (s.clone(), Arc::clone(r))
-    }
-
-    fn fresh_comm_id(&self) -> u64 {
-        self.comm_ids.fetch_add(1, Ordering::Relaxed)
-    }
-
-    fn register(&self, comm: u64) {
-        *lock(&self.live).entry(comm).or_insert(0) += 1;
-    }
-
-    fn retire(&self, comm: u64) {
-        let mut live = lock(&self.live);
-        let n = live
-            .get_mut(&comm)
-            .expect("retired a communicator that was never registered");
-        *n -= 1;
-        if *n == 0 {
-            live.remove(&comm);
-            lock(&self.channels).retain(|&(c, _, _), _| c != comm);
-        }
-    }
-
-    fn channel_count(&self) -> usize {
-        lock(&self.channels).len()
-    }
-
-    fn live_comm_count(&self) -> usize {
-        lock(&self.live).len()
-    }
 }
 
-/// One registration of a communicator with the fabric; held behind an
-/// `Arc` so clones within a rank share it, while each rank's handle from
-/// `World::run`/`split` counts once. Dropping the last one retires the
-/// communicator's channels.
-///
-/// Registration must happen *before any member rank can use the
-/// communicator* (all handles up front in `World::run`; by the split root
-/// for every planned member in `Comm::split`). Otherwise a fast rank
-/// could send, finish, and drop its handle while slower members are not
-/// yet counted — the live count would transiently hit zero and the purge
-/// would destroy their still-queued messages.
-struct CommToken {
+/// The envelopes addressed to one rank of one communicator, queued FIFO
+/// per (source rank, tag).
+#[derive(Default)]
+struct Mailbox {
+    queues: Mutex<HashMap<(usize, u64), VecDeque<Payload>>>,
+    arrived: Condvar,
+}
+
+/// One communicator: its fabric-wide id and one mailbox per member rank.
+/// Every handle holds it through an `Arc`, so queued envelopes outlive
+/// the handle that sent them and are dropped with the last handle.
+struct Group {
     fabric: Arc<Fabric>,
     id: u64,
+    mailboxes: Vec<Mailbox>,
 }
 
-impl CommToken {
-    /// Wrap an already-registered slot (see the struct docs for why
-    /// registration is decoupled from handle construction).
-    fn adopt(fabric: Arc<Fabric>, id: u64) -> Arc<Self> {
-        Arc::new(Self { fabric, id })
+impl Group {
+    fn new(fabric: &Arc<Fabric>, id: u64, size: usize) -> Arc<Self> {
+        fabric.live.fetch_add(1, Ordering::Relaxed);
+        Arc::new(Self {
+            fabric: Arc::clone(fabric),
+            id,
+            mailboxes: (0..size).map(|_| Mailbox::default()).collect(),
+        })
     }
 }
 
-impl Drop for CommToken {
+impl Drop for Group {
     fn drop(&mut self) {
-        self.fabric.retire(self.id);
+        self.fabric.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -246,39 +200,12 @@ impl Drop for CommToken {
 /// point-to-point exactly as its MPI namesake.
 #[derive(Clone)]
 pub struct Comm {
-    fabric: Arc<Fabric>,
-    id: u64,
-    /// Global thread ids of the members, ordered by local rank.
-    members: Arc<Vec<usize>>,
-    /// This rank's index into `members`.
+    group: Arc<Group>,
+    /// This rank's index within the communicator.
     me: usize,
-    /// Fabric registration; channels are reclaimed when the last handle
-    /// (across ranks) drops. Held only for its `Drop`.
-    _token: Arc<CommToken>,
-    /// Envelopes received ahead of their matching `recv`, keyed by
-    /// (global source, tag) — MPI-style tag matching. Local to this
-    /// rank's handle (clones within a rank share it; other ranks have
-    /// their own).
-    stash: Arc<Mutex<Stash>>,
 }
 
-/// Out-of-order envelopes parked per (global source, tag), FIFO each.
-type Stash = HashMap<(usize, u64), std::collections::VecDeque<Payload>>;
-
 impl Comm {
-    /// Build a handle for an already-registered communicator slot.
-    fn adopt(fabric: Arc<Fabric>, id: u64, members: Arc<Vec<usize>>, me: usize) -> Self {
-        let token = CommToken::adopt(Arc::clone(&fabric), id);
-        Self {
-            fabric,
-            id,
-            members,
-            me,
-            _token: token,
-            stash: Arc::new(Mutex::new(HashMap::new())),
-        }
-    }
-
     /// This rank's index within the communicator.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -288,7 +215,7 @@ impl Comm {
     /// Number of ranks in the communicator.
     #[inline]
     pub fn size(&self) -> usize {
-        self.members.len()
+        self.group.mailboxes.len()
     }
 
     /// Blocking typed send to local rank `dst`. The high tag bit is
@@ -304,22 +231,20 @@ impl Comm {
     }
 
     fn send_internal<T: Send + 'static>(&self, dst: usize, tag: u64, value: T) {
-        let g_src = self.members[self.me];
-        let g_dst = self.members[dst];
-        let (s, _) = self.fabric.endpoint(self.id, g_src, g_dst);
-        s.send(Envelope {
-            tag,
-            payload: Box::new(value),
-        })
-        .expect("simulated MPI channel closed");
+        let mailbox = &self.group.mailboxes[dst];
+        lock(&mailbox.queues)
+            .entry((self.me, tag))
+            .or_default()
+            .push_back(Box::new(value));
+        mailbox.arrived.notify_all();
     }
 
     /// Blocking typed receive from local rank `src`, matching on `tag`
-    /// exactly as MPI does: envelopes of other tags arriving first are
-    /// stashed (in order) until their own `recv` asks for them, so an
-    /// unconsumed user send can never corrupt a later collective on the
-    /// same channel. Per (src, dst, tag) triple, delivery is FIFO. The
-    /// high tag bit is reserved for collective traffic.
+    /// exactly as MPI does: envelopes of other tags wait in their own
+    /// queues until their own `recv` asks for them, so an unconsumed user
+    /// send can never corrupt a later collective. Per (src, dst, tag)
+    /// triple, delivery is FIFO. The high tag bit is reserved for
+    /// collective traffic.
     pub fn recv<T: Send + 'static>(&self, src: usize, tag: u64) -> T {
         assert_eq!(
             tag & COLLECTIVE_TAG_BIT,
@@ -339,46 +264,36 @@ impl Comm {
         // multigrid solve or a ground-state descent) are orders of
         // magnitude shorter; slow machines can raise the limit via
         // [`RECV_STALL_ENV`] or [`World::run_with_stall`].
-        let stall = self.fabric.stall;
-        let g_src = self.members[src];
-        let g_dst = self.members[self.me];
-        let payload = {
-            let mut stash = lock(&self.stash);
-            stash
-                .get_mut(&(g_src, tag))
-                .and_then(std::collections::VecDeque::pop_front)
-        };
-        let payload = payload.unwrap_or_else(|| {
-            let (_, r) = self.fabric.endpoint(self.id, g_src, g_dst);
-            let r = lock(&r);
-            loop {
-                let env = match r.recv_timeout(stall) {
-                    Ok(env) => env,
-                    Err(err) => {
-                        let stash = lock(&self.stash);
-                        let stashed: Vec<u64> = stash
-                            .iter()
-                            .filter(|((s, _), q)| *s == g_src && !q.is_empty())
-                            .map(|((_, t), _)| *t)
-                            .collect();
-                        panic!(
-                            "recv stalled ({err}): rank {} waited {stall:?} for tag {tag:#x} \
-                             from rank {src}; stashed tags from that source: {stashed:x?} \
-                             (no matching envelope ever arrived — protocol error)",
-                            self.me
-                        );
-                    }
-                };
-                if env.tag == tag {
-                    break env.payload;
-                }
-                // Out-of-order arrival: park it for its own recv.
-                lock(&self.stash)
-                    .entry((g_src, env.tag))
-                    .or_default()
-                    .push_back(env.payload);
+        let stall = self.group.fabric.stall;
+        let deadline = Instant::now() + stall;
+        let mailbox = &self.group.mailboxes[self.me];
+        let mut queues = lock(&mailbox.queues);
+        let payload = loop {
+            if let Some(payload) = queues.get_mut(&(src, tag)).and_then(VecDeque::pop_front) {
+                break payload;
             }
-        });
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                let mut pending: Vec<u64> = queues
+                    .iter()
+                    .filter(|((s, _), q)| *s == src && !q.is_empty())
+                    .map(|((_, t), _)| *t)
+                    .collect();
+                pending.sort_unstable();
+                drop(queues);
+                panic!(
+                    "recv stalled: rank {} waited {stall:?} for tag {tag:#x} from rank {src}; \
+                     stashed tags from that source: {pending:x?} \
+                     (no matching envelope ever arrived — protocol error)",
+                    self.me
+                );
+            }
+            queues = mailbox
+                .arrived
+                .wait_timeout(queues, left)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        };
         *payload
             .downcast::<T>()
             .expect("message type mismatch in simulated MPI")
@@ -389,10 +304,11 @@ impl Comm {
     /// the `*_impl` bodies composite collectives delegate to are never
     /// themselves recorded.
     fn timed<T>(&self, op: CollectiveOp, bytes: u64, body: impl FnOnce() -> T) -> T {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let out = body();
-        self.fabric
-            .record(self.id, op, bytes, start.elapsed().as_secs_f64());
+        self.group
+            .fabric
+            .record(self.group.id, op, bytes, start.elapsed().as_secs_f64());
         out
     }
 
@@ -401,7 +317,7 @@ impl Comm {
     /// all ranks), sorted by (communicator id, op) for determinism. The
     /// world communicator is id 0; `split` children get fresh ids.
     pub fn collective_stats(&self) -> Vec<CollectiveRecord> {
-        self.fabric.stats_snapshot()
+        self.group.fabric.stats_snapshot()
     }
 
     /// Synchronize all ranks (gather-to-0 + broadcast of unit).
@@ -598,58 +514,34 @@ impl Comm {
     /// `MPI_Comm_split`: ranks with equal `color` form a new communicator,
     /// ordered by `(key, parent rank)`. Collective over the parent.
     pub fn split(&self, color: u64, key: u64) -> Comm {
-        // Gather (color, key, parent-rank, global-id) at parent root.
-        // Uses the raw impl: split's internal plumbing must not show up
-        // in the per-collective counters as a user gather.
-        let triple = (color, key, self.me, self.members[self.me]);
-        let gathered = self.gather_impl(0, triple);
-        let plan: Vec<(u64, Vec<usize>)> = if self.me == 0 {
-            let mut all = gathered.unwrap();
-            all.sort_by_key(|&(c, k, r, _)| (c, k, r));
-            let mut plan: Vec<(u64, u64, Vec<usize>)> = Vec::new(); // (color, id, members)
-            for (c, _, _, g) in all {
-                match plan.last_mut() {
-                    Some((pc, _, mem)) if *pc == c => mem.push(g),
-                    _ => plan.push((c, self.fabric.fresh_comm_id(), vec![g])),
+        // The root builds every child communicator and hands each member
+        // its own handle. Uses the raw impls: split's internal plumbing
+        // must not show up in the per-collective counters.
+        let fabric = &self.group.fabric;
+        let handles = self.gather_impl(0, (color, key)).map(|all| {
+            let mut order: Vec<usize> = (0..all.len()).collect();
+            order.sort_by_key(|&r| (all[r], r));
+            let mut handles: Vec<Option<Comm>> = (0..all.len()).map(|_| None).collect();
+            for run in order.chunk_by(|&a, &b| all[a].0 == all[b].0) {
+                let id = fabric.comm_ids.fetch_add(1, Ordering::Relaxed);
+                let group = Group::new(fabric, id, run.len());
+                for (me, &r) in run.iter().enumerate() {
+                    handles[r] = Some(Comm {
+                        group: Arc::clone(&group),
+                        me,
+                    });
                 }
             }
-            let plan: Vec<(u64, Vec<usize>)> =
-                plan.into_iter().map(|(_, id, mem)| (id, mem)).collect();
-            // Register every member of every new communicator *before*
-            // distributing the plan: no rank can touch a child comm before
-            // all its handles are counted, so the live count cannot
-            // transiently reach zero and purge in-flight messages.
-            for (id, mem) in &plan {
-                for _ in mem {
-                    self.fabric.register(*id);
-                }
-            }
-            for dst in 1..self.size() {
-                self.send_internal(dst, TAG_SPLIT, plan.clone());
-            }
-            plan
-        } else {
-            self.recv_internal(0, TAG_SPLIT)
-        };
-        let my_global = self.members[self.me];
-        for (id, mem) in plan {
-            if let Some(pos) = mem.iter().position(|&g| g == my_global) {
-                return Comm::adopt(Arc::clone(&self.fabric), id, Arc::new(mem), pos);
-            }
-        }
-        unreachable!("every rank belongs to exactly one split group");
+            handles.into_iter().map(Option::unwrap).collect()
+        });
+        self.scatter_impl(0, handles)
     }
 
-    /// Number of point-to-point channels currently alive in the shared
-    /// fabric (diagnostic; lets tests pin that retired communicators'
-    /// channels are reclaimed rather than leaked).
-    pub fn fabric_channel_count(&self) -> usize {
-        self.fabric.channel_count()
-    }
-
-    /// Number of communicators with at least one live handle (diagnostic).
+    /// Number of communicators with at least one live handle (diagnostic;
+    /// lets tests pin that dropped communicators are reclaimed rather
+    /// than leaked).
     pub fn fabric_live_comm_count(&self) -> usize {
-        self.fabric.live_comm_count()
+        self.group.fabric.live.load(Ordering::Relaxed)
     }
 }
 
@@ -672,7 +564,7 @@ impl World {
     /// how tests pin the stall diagnostics without waiting a minute, and
     /// how embedders with known-slow root-side compute raise the limit
     /// programmatically.
-    pub fn run_with_stall<R, F>(n: usize, stall: std::time::Duration, f: F) -> Vec<R>
+    pub fn run_with_stall<R, F>(n: usize, stall: Duration, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Comm) -> R + Sync,
@@ -702,18 +594,15 @@ impl World {
         F: Fn(Comm) -> R + Sync,
     {
         assert!(n > 0, "world must have at least one rank");
-        let members: Arc<Vec<usize>> = Arc::new((0..n).collect());
+        let group = Group::new(fabric, 0, n);
         let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
-            // Register every rank's handle before spawning any: a fast
-            // rank must never drop the last counted handle (purging the
-            // world's channels) while slower ranks are still unspawned.
-            for _ in 0..n {
-                fabric.register(0);
-            }
             let mut handles = Vec::with_capacity(n);
             for rank in 0..n {
-                let comm = Comm::adopt(Arc::clone(fabric), 0, Arc::clone(&members), rank);
+                let comm = Comm {
+                    group: Arc::clone(&group),
+                    me: rank,
+                };
                 let f = &f;
                 handles.push(scope.spawn(move || f(comm)));
             }
@@ -953,9 +842,9 @@ mod tests {
 
     #[test]
     fn dropped_split_comms_release_their_channels() {
-        // Regression: the fabric channel map only ever grew — every split
-        // allocated fresh comm ids whose channels were never reclaimed, so
-        // drivers that split per step leaked channels without bound.
+        // Regression: the fabric only ever grew — every split allocated
+        // fresh communicators that were never reclaimed, so drivers that
+        // split per step leaked without bound.
         let out = World::run(4, |c| {
             let mut counts = Vec::new();
             for step in 0..10u64 {
@@ -965,20 +854,15 @@ mod tests {
                 // Every rank drops its handle before entering the barrier,
                 // so after it the sub-communicators are fully retired.
                 c.barrier();
-                counts.push((c.fabric_channel_count(), c.fabric_live_comm_count()));
+                counts.push(c.fabric_live_comm_count());
             }
             counts
         });
         for counts in out {
-            let (first_channels, first_live) = counts[0];
-            assert_eq!(first_live, 1, "only the world comm may stay live");
-            for &(channels, live) in &counts {
-                assert_eq!(
-                    channels, first_channels,
-                    "channel map must not grow across split/drop cycles"
-                );
-                assert_eq!(live, 1);
-            }
+            assert!(
+                counts.iter().all(|&live| live == 1),
+                "only the world comm may stay live: {counts:?}"
+            );
         }
     }
 
@@ -1009,10 +893,11 @@ mod tests {
         // The stall limit is configurable per world (env:
         // MLMD_RECV_STALL_SECS, or run_with_stall). A world with a
         // 50 ms limit must fail fast AND keep the full diagnostics: the
-        // waited-for tag and the tags stashed from that source while the
-        // doomed recv was scanning the channel.
+        // waited-for tag and, in ascending order, the tags still pending
+        // from that source.
         let mut out = World::run_with_stall(1, std::time::Duration::from_millis(50), |c| {
             c.send(0, 7, 41u64); // never consumed under its own tag
+            c.send(0, 3, 42u64); // nor this one, sent after it
             let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _: u64 = c.recv(0, 8);
             }))
@@ -1023,8 +908,8 @@ mod tests {
         assert!(msg.contains("recv stalled"), "got: {msg}");
         assert!(msg.contains("for tag 0x8"), "got: {msg}");
         assert!(
-            msg.contains("stashed tags from that source: [7]"),
-            "the tag-7 envelope skipped during the scan must be reported: {msg}"
+            msg.contains("stashed tags from that source: [3, 7]"),
+            "the pending tag-3 and tag-7 envelopes must be reported in order: {msg}"
         );
         assert!(
             msg.contains("50ms"),
