@@ -104,19 +104,6 @@ impl Occupations {
     pub fn delta_f(&self) -> Vec<f64> {
         self.f.iter().zip(&self.f0).map(|(a, b)| a - b).collect()
     }
-
-    /// Reset the reference to the current state (start of an MD step).
-    pub fn rebase(&mut self) {
-        self.f0.clone_from(&self.f);
-    }
-
-    /// Apply a Δf received from the device (inverse of [`Self::delta_f`]).
-    pub fn apply_delta(&mut self, delta: &[f64]) {
-        assert_eq!(delta.len(), self.f.len());
-        for (x, d) in self.f.iter_mut().zip(delta) {
-            *x = (*x + d).clamp(0.0, 2.0);
-        }
-    }
 }
 
 fn assert_in_range(f: &[f64]) {
@@ -163,25 +150,6 @@ mod tests {
         assert!((occ.n_exc() - 1.0).abs() < 1e-15);
         occ.transfer(0, 3, 0.5);
         assert!((occ.n_exc() - 1.5).abs() < 1e-15);
-    }
-
-    #[test]
-    fn delta_roundtrip() {
-        let mut gpu_side = Occupations::aufbau(3, 2.0);
-        gpu_side.transfer(0, 2, 0.25);
-        let delta = gpu_side.delta_f();
-        let mut cpu_side = Occupations::aufbau(3, 2.0);
-        cpu_side.apply_delta(&delta);
-        assert_eq!(cpu_side.as_slice(), gpu_side.as_slice());
-    }
-
-    #[test]
-    fn rebase_zeroes_excitation() {
-        let mut occ = Occupations::aufbau(2, 2.0);
-        occ.transfer(0, 1, 0.5);
-        assert!(occ.n_exc() > 0.0);
-        occ.rebase();
-        assert_eq!(occ.n_exc(), 0.0);
     }
 
     #[test]
