@@ -16,8 +16,9 @@
 //!   `allreduce`, `gather`/`allgather`/`allgather_vec`, `bcast`,
 //!   `scatter`, and MPI_Comm_split-style [`comm::Comm::split`].
 //!   Collective traffic lives in a reserved tag namespace
-//!   ([`comm::COLLECTIVE_TAG_BIT`]), and a communicator's channels are
-//!   reclaimed when its last handle drops. Every public collective is
+//!   ([`comm::COLLECTIVE_TAG_BIT`]). Each communicator owns one mailbox
+//!   per rank, queued per (source, tag), and is reclaimed when its last
+//!   handle drops. Every public collective is
 //!   instrumented: the fabric keeps per-(communicator, op) counters
 //!   ([`comm::OpStats`]: op count, payload bytes, wall time) that
 //!   [`comm::Comm::collective_stats`] snapshots and
@@ -40,9 +41,8 @@
 //! reproduces a serial domain loop bit-for-bit), and `allgather_vec`
 //! concatenates ragged per-rank blocks in rank order (so contiguous
 //! band-range column blocks reassemble into a column-major panel with no
-//! copy fix-up). The channel-reclamation diagnostics
-//! ([`comm::Comm::fabric_channel_count`] /
-//! [`comm::Comm::fabric_live_comm_count`]) exist so those suites can pin
+//! copy fix-up). The reclamation diagnostic
+//! [`comm::Comm::fabric_live_comm_count`] exists so those suites can pin
 //! non-growth across repeated driver build/run/drop cycles.
 
 pub mod comm;
