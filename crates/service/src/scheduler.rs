@@ -1145,6 +1145,39 @@ mod tests {
     }
 
     #[test]
+    fn cancelling_a_queued_primary_cancels_its_followers_and_a_follower_detaches_alone() {
+        let s = one_worker();
+        let blocker = stall_worker(&s, 0.93);
+        let p1 = s.submit(fdtd(20, 0.44)).unwrap();
+        let f1 = s.submit(fdtd(20, 0.44)).unwrap();
+        let p2 = s.submit(fdtd(20, 0.45)).unwrap();
+        let f2 = s.submit(fdtd(20, 0.45)).unwrap();
+        assert!(f1.is_deduped() && f2.is_deduped());
+        // The primary takes its whole group down; the follower leaves its
+        // group's execution running.
+        p1.cancel();
+        f2.cancel();
+        blocker.cancel();
+        for h in [&p1, &f1, &f2] {
+            let out = h.wait();
+            assert!(out.cancelled);
+            assert!(matches!(out.result, JobResult::Unstarted), "{}", h.id());
+        }
+        assert!(!p2.wait().cancelled);
+        let executed = s.metrics().executed;
+        s.shutdown();
+        for h in [&p1, &f1, &p2, &f2] {
+            let completions = h
+                .events()
+                .try_iter()
+                .filter(|e| matches!(e, JobEvent::Completed { .. }))
+                .count();
+            assert_eq!(completions, 1, "{} resolved {completions} times", h.id());
+        }
+        assert_eq!(executed, 2, "the blocker and p2 ran; p1 never did");
+    }
+
+    #[test]
     fn cancelling_running_job_yields_partial_trace() {
         let s = one_worker();
         let h = s.submit(slow_blocker(0.71)).unwrap();
