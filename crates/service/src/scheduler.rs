@@ -46,6 +46,11 @@
 //!   and the result carries the partial trace. Cancelling a dedup
 //!   primary cancels the group's single execution — followers share its
 //!   fate; cancelling a follower detaches only that follower.
+//! * **Resolution**: the scheduler has one lock, the queue's. Every job
+//!   resolves exactly once, in `settle`, under that lock — whether a
+//!   worker finished it or a cancel found it queued — and always in the
+//!   same order: the counters move, then the terminal events go out, then
+//!   `wait()` returns and `status()` turns terminal.
 //! * **Shutdown**: [`Scheduler::shutdown`] stops admission, drains the
 //!   queue, and joins the workers. Dropping the scheduler instead
 //!   cancels all outstanding work first, so a drop never hangs on a
@@ -56,10 +61,10 @@ use crate::progress::{EventSink, JobEvent, JobId};
 use mlmd_core::engine::{CancelToken, SampleStride};
 use mlmd_exasim::planner::{PlanVerdict, Planner, Prediction};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::Instant;
 
 /// Service sizing and behavior knobs.
 #[derive(Clone, Copy, Debug)]
@@ -137,25 +142,20 @@ pub enum JobStatus {
     Cancelled,
 }
 
-struct CoreState {
-    status: JobStatus,
-    output: Option<Arc<JobOutput>>,
-    resolved_at: Option<Instant>,
-}
-
 /// Shared per-job record: handles, queue entries, and dedup groups all
 /// point at the same core.
 struct JobCore {
     id: JobId,
     cancel: CancelToken,
     sink: EventSink,
-    state: Mutex<CoreState>,
-    resolved: Condvar,
-    submitted_at: Instant,
     /// The planner's prediction, when admission planning is on. Dedup
     /// followers carry the same one as their primary (same spec, same
     /// prediction).
     plan: Option<Prediction>,
+    /// Set under the queue lock when a worker pops the job.
+    running: AtomicBool,
+    /// The result, set once by [`SchedInner::settle`].
+    output: OnceLock<Arc<JobOutput>>,
 }
 
 impl JobCore {
@@ -164,67 +164,33 @@ impl JobCore {
             id,
             cancel: CancelToken::new(),
             sink,
-            state: Mutex::new(CoreState {
-                status: JobStatus::Queued,
-                output: None,
-                resolved_at: None,
-            }),
-            resolved: Condvar::new(),
-            submitted_at: Instant::now(),
             plan,
+            running: AtomicBool::new(false),
+            output: OnceLock::new(),
         }
     }
 
     fn status(&self) -> JobStatus {
-        self.state.lock().expect("job state poisoned").status
+        match self.output.get() {
+            Some(output) if output.cancelled => JobStatus::Cancelled,
+            Some(_) => JobStatus::Completed,
+            None if self.running.load(Ordering::Relaxed) => JobStatus::Running,
+            None => JobStatus::Queued,
+        }
     }
 
-    fn is_resolved(&self) -> bool {
-        self.state
-            .lock()
-            .expect("job state poisoned")
-            .output
-            .is_some()
-    }
-
-    /// Publish the result exactly once; later calls are no-ops (a
-    /// follower individually cancelled before its primary finished keeps
-    /// its own resolution).
-    fn resolve(&self, output: Arc<JobOutput>) {
-        let cancelled = output.cancelled;
-        {
-            let mut state = self.state.lock().expect("job state poisoned");
-            if state.output.is_some() {
-                return;
+    /// Publish the result. The terminal events go out before the result
+    /// becomes visible, so a `wait()`er that drains the event stream
+    /// finds them.
+    fn resolve(&self, output: &Arc<JobOutput>) {
+        self.output.get_or_init(|| {
+            let (id, cancelled) = (self.id, output.cancelled);
+            if cancelled {
+                self.sink.emit(JobEvent::Cancelled { id });
             }
-            state.output = Some(output);
-            state.resolved_at = Some(Instant::now());
-            state.status = if cancelled {
-                JobStatus::Cancelled
-            } else {
-                JobStatus::Completed
-            };
-        }
-        // Emit before waking waiters so a `wait()`er that immediately
-        // drains the event stream sees the terminal events.
-        if cancelled {
-            self.sink.emit(JobEvent::Cancelled { id: self.id });
-        }
-        self.sink.emit(JobEvent::Completed {
-            id: self.id,
-            cancelled,
+            self.sink.emit(JobEvent::Completed { id, cancelled });
+            Arc::clone(output)
         });
-        self.resolved.notify_all();
-    }
-
-    fn wait(&self) -> Arc<JobOutput> {
-        let mut state = self.state.lock().expect("job state poisoned");
-        loop {
-            if let Some(output) = &state.output {
-                return Arc::clone(output);
-            }
-            state = self.resolved.wait(state).expect("job state poisoned");
-        }
     }
 }
 
@@ -413,27 +379,7 @@ impl JobHandle {
     /// Block until the job resolves; the result is shared (`Arc`) with
     /// any dedup followers.
     pub fn wait(&self) -> Arc<JobOutput> {
-        self.core.wait()
-    }
-
-    /// The result if already resolved, without blocking.
-    pub fn try_output(&self) -> Option<Arc<JobOutput>> {
-        self.core
-            .state
-            .lock()
-            .expect("job state poisoned")
-            .output
-            .clone()
-    }
-
-    /// Submission-to-resolution time, once resolved.
-    pub fn latency(&self) -> Option<Duration> {
-        self.core
-            .state
-            .lock()
-            .expect("job state poisoned")
-            .resolved_at
-            .map(|t| t - self.core.submitted_at)
+        Arc::clone(self.core.output.wait())
     }
 
     /// Request cancellation (see the module docs for the exact queued /
@@ -449,7 +395,7 @@ impl SchedInner {
         // step boundary whatever else happens.
         core.cancel.cancel();
         let mut q = self.queue.lock().expect("scheduler queue poisoned");
-        if core.is_resolved() || core.status() == JobStatus::Running {
+        if core.output.get().is_some() || core.running.load(Ordering::Relaxed) {
             // Running executions resolve through their worker (with the
             // partial trace); resolved jobs keep their resolution.
             return;
@@ -470,13 +416,32 @@ impl SchedInner {
             None => Vec::new(),
         };
         // Resolve before releasing the queue lock: a worker popping the
-        // entry in between would find it unresolved and run it. Resolving
-        // only sets state and sends on unbounded channels, and the lock
-        // order is queue → job state, as in `worker_loop`.
-        for job in std::iter::once(core).chain(&followers) {
+        // entry in between would find it unresolved and run it.
+        self.settle(
+            &mut q,
+            std::iter::once(core).chain(&followers),
+            &unstarted_cancelled(),
+        );
+    }
+
+    /// The one place a job resolves, always under the queue lock: each
+    /// job leaves the active set, is counted, then resolves — so a
+    /// `wait()`er already sees its job in the counters.
+    fn settle<'a>(
+        &self,
+        q: &mut QueueState,
+        jobs: impl IntoIterator<Item = &'a Arc<JobCore>>,
+        output: &Arc<JobOutput>,
+    ) {
+        let counter = if output.cancelled {
+            &self.metrics.cancelled
+        } else {
+            &self.metrics.completed
+        };
+        for job in jobs {
             q.active.remove(&job.id);
-            job.resolve(unstarted_cancelled());
-            self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+            counter.fetch_add(1, Ordering::Relaxed);
+            job.resolve(output);
         }
     }
 
@@ -486,14 +451,13 @@ impl SchedInner {
                 let mut q = self.queue.lock().expect("scheduler queue poisoned");
                 loop {
                     if let Some(entry) = Self::pop(&mut q) {
-                        if entry.core.is_resolved() {
+                        if entry.core.output.get().is_some() {
                             // Dead entry (cancelled while queued).
                             continue;
                         }
                         // Mark running under the queue lock so a
                         // concurrent cancel sees a consistent status.
-                        entry.core.state.lock().expect("job state poisoned").status =
-                            JobStatus::Running;
+                        entry.core.running.store(true, Ordering::Relaxed);
                         break Some(entry);
                     }
                     if !q.accepting {
@@ -525,32 +489,19 @@ impl SchedInner {
                     .predicted_us
                     .fetch_add((plan.predicted_secs * 1e6) as u64, Ordering::Relaxed);
             }
-            // Detach the group, then resolve primary + followers.
-            let followers = {
-                let mut q = self.queue.lock().expect("scheduler queue poisoned");
-                q.active.remove(&entry.core.id);
-                let followers = match q.groups.remove(&entry.key) {
-                    Some(group) => group.followers,
-                    None => Vec::new(),
-                };
-                for f in &followers {
-                    q.active.remove(&f.id);
-                }
-                followers
-            };
-            let count = |out: &JobOutput| {
-                if out.cancelled {
-                    self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                }
-            };
-            count(&output);
-            entry.core.resolve(Arc::clone(&output));
-            for f in followers {
-                count(&output);
-                f.resolve(Arc::clone(&output));
-            }
+            // Detach the group and resolve primary + followers under one
+            // lock hold: a follower's cancel finds it either still in the
+            // group or already resolved.
+            let mut q = self.queue.lock().expect("scheduler queue poisoned");
+            let followers = q
+                .groups
+                .remove(&entry.key)
+                .map_or_else(Vec::new, |group| group.followers);
+            self.settle(
+                &mut q,
+                std::iter::once(&entry.core).chain(&followers),
+                &output,
+            );
         }
     }
 
@@ -764,15 +715,6 @@ impl Scheduler {
         }
     }
 
-    /// Jobs currently queued (dead entries included until popped).
-    pub fn queued_len(&self) -> usize {
-        self.inner
-            .queue
-            .lock()
-            .expect("scheduler queue poisoned")
-            .queued
-    }
-
     /// Stop admission, drain the queue, and join the workers. Queued
     /// jobs still execute; call this for a graceful end of service.
     pub fn shutdown(mut self) {
@@ -811,6 +753,7 @@ impl Drop for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn fdtd(n_steps: usize, omega_tag: f64) -> JobSpec {
         // omega_tag varies the dedup key so tests control coalescing.
@@ -953,7 +896,6 @@ mod tests {
         assert!(!out.cancelled);
         assert_eq!(out.steps_done, 12);
         assert_eq!(h.status(), JobStatus::Completed);
-        assert!(h.latency().is_some());
         let events: Vec<JobEvent> = h.events().try_iter().collect();
         assert!(matches!(events.first(), Some(JobEvent::Queued { .. })));
         assert!(events.iter().any(|e| matches!(e, JobEvent::Started { .. })));
@@ -1175,6 +1117,37 @@ mod tests {
             assert_eq!(completions, 1, "{} resolved {completions} times", h.id());
         }
         assert_eq!(executed, 2, "the blocker and p2 ran; p1 never did");
+    }
+
+    #[test]
+    fn follower_cancelled_while_its_primary_resolves_is_counted_once() {
+        let s = one_worker();
+        let blocker = stall_worker(&s, 0.92);
+        let primary = s.submit(fdtd(5, 0.46)).unwrap();
+        let follower = s.submit(fdtd(5, 0.46)).unwrap();
+        blocker.cancel();
+        while !matches!(primary.events().recv().unwrap(), JobEvent::Started { .. }) {}
+        // Land the cancel around the moment the worker resolves the group.
+        std::thread::sleep(Duration::from_millis(10));
+        follower.cancel();
+        let cancelled = [&blocker, &primary, &follower]
+            .iter()
+            .filter(|h| h.wait().cancelled)
+            .count() as u64;
+        // Read the counters once the worker has finished with the group.
+        let inner = Arc::clone(&s.inner);
+        s.shutdown();
+        let completed = inner.metrics.completed.load(Ordering::Relaxed);
+        let counted = inner.metrics.cancelled.load(Ordering::Relaxed);
+        assert_eq!(
+            counted, cancelled,
+            "completed={completed} cancelled={counted}"
+        );
+        assert_eq!(
+            completed + counted,
+            3,
+            "completed={completed} cancelled={counted}"
+        );
     }
 
     #[test]
