@@ -21,9 +21,8 @@
 //! central differences at atoms whose neighbours lie across the periodic
 //! boundary, and sum to zero.
 
-use crate::kernel::{accumulate_center, Scratch};
+use crate::kernel::{accumulate_center, KernelReal, Scratch};
 use crate::model::{AllegroLite, ModelConfig, QuantizedModel};
-use mlmd_numerics::complex::Real;
 use mlmd_numerics::vec3::Vec3;
 use mlmd_qxmd::atoms::Species;
 use mlmd_qxmd::neighbor::CellList;
@@ -93,7 +92,7 @@ pub struct ForceRequest<'a> {
 /// The blocking loop: energy and forces contributed by the centres in
 /// `atoms` of one request (all of them, or the block a rank owns),
 /// evaluated batch by batch with the kernel at precision `R`.
-pub(crate) fn evaluate_centres<R: Real>(
+pub(crate) fn evaluate_centres<R: KernelReal>(
     cfg: &ModelConfig,
     params: &[R],
     bytes_per_neighbor: u64,
@@ -128,7 +127,7 @@ pub(crate) fn evaluate_centres<R: Real>(
 }
 
 /// Every request through [`evaluate_centres`], sharing one scratch.
-fn evaluate_requests<R: Real>(
+fn evaluate_requests<R: KernelReal>(
     cfg: &ModelConfig,
     params: &[R],
     bytes_per_neighbor: u64,

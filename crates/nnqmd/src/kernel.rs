@@ -130,6 +130,26 @@ fn basis<R: Real>(rcut: f64, r: R, val: &mut [R], dval: &mut [R]) {
     }
 }
 
+/// The precisions the kernel runs at, each with its own SiLU denominator.
+pub(crate) trait KernelReal: Real {
+    /// `1 + e^(−x)`.
+    fn denom(x: Self) -> Self;
+}
+
+impl KernelReal for f64 {
+    #[inline]
+    fn denom(x: f64) -> f64 {
+        silu_denom(x)
+    }
+}
+
+impl KernelReal for f32 {
+    #[inline]
+    fn denom(x: f32) -> f32 {
+        silu_denom(x)
+    }
+}
+
 #[inline]
 fn dot<R: Real>(a: [R; 3], b: [R; 3]) -> R {
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -142,7 +162,7 @@ fn dot<R: Real>(a: [R; 3], b: [R; 3]) -> R {
 /// strictly-local energy decomposes as `E = Σ_i E_i`, summing this over
 /// all atoms reproduces the full evaluation — the property that makes the
 /// block inference of Sec. V.B.9 lossless.
-pub(crate) fn accumulate_center<R: Real>(
+pub(crate) fn accumulate_center<R: KernelReal>(
     cfg: &ModelConfig,
     params: &[R],
     scratch: &mut Scratch<R>,
@@ -167,53 +187,60 @@ pub(crate) fn accumulate_center<R: Real>(
         return energy.to_f64();
     }
     scratch.reset(ne, kdim, hdim);
-    // ---- forward: layer 0 + vector channel ----
-    let mut v = [R::ZERO; 3];
+    // ---- layer 0 pre-activations ----
     for (e, pr) in pairs.iter().enumerate() {
         let r = R::from_f64(pr.r);
-        let uh = [
+        let pt = 3 * si + species_index(species[pr.j]);
+        scratch.r[e] = r;
+        scratch.uhat[e] = [
             R::from_f64(pr.dr.x / pr.r),
             R::from_f64(pr.dr.y / pr.r),
             R::from_f64(pr.dr.z / pr.r),
         ];
-        let pt = 3 * si + species_index(species[pr.j]);
-        scratch.r[e] = r;
-        scratch.uhat[e] = uh;
         scratch.pt[e] = pt;
         let bk = &mut scratch.b[e * kdim..(e + 1) * kdim];
         let dbk = &mut scratch.db[e * kdim..(e + 1) * kdim];
         basis(cfg.rcut, r, bk, dbk);
         let x0e = &mut scratch.x0[e * hdim..(e + 1) * hdim];
-        let d0e = &mut scratch.d0[e * hdim..(e + 1) * hdim];
-        let h0e = &mut scratch.h0[e * hdim..(e + 1) * hdim];
-        let mut a_e = R::ZERO;
-        for (h, ((x0h, d0h), h0h)) in x0e.iter_mut().zip(d0e).zip(h0e).enumerate() {
+        for (h, x0h) in x0e.iter_mut().enumerate() {
             let row = pt * hdim + h;
             let mut acc = b0[row];
             for (&w, &bv) in w0[row * kdim..(row + 1) * kdim].iter().zip(bk.iter()) {
                 acc += w * bv;
             }
             *x0h = acc;
-            *d0h = silu_denom(acc);
-            let hh = silu(acc, *d0h);
-            *h0h = hh;
-            a_e += wv[h] * hh;
         }
-        scratch.a[e] = a_e;
-        v[0] += uh[0] * a_e;
-        v[1] += uh[1] * a_e;
-        v[2] += uh[2] * a_e;
+    }
+    for (d, &x) in scratch.d0.iter_mut().zip(&scratch.x0) {
+        *d = R::denom(x);
+    }
+    // ---- layer 0 activations + vector channel ----
+    let mut v = [R::ZERO; 3];
+    let layer0 = scratch
+        .x0
+        .chunks_exact(hdim)
+        .zip(scratch.d0.chunks_exact(hdim));
+    let edges = scratch.h0.chunks_exact_mut(hdim).zip(&mut scratch.a);
+    for (((x0e, d0e), (h0e, a_e)), uh) in layer0.zip(edges).zip(&scratch.uhat) {
+        *a_e = R::ZERO;
+        for (h, ((&x0h, &d0h), h0h)) in x0e.iter().zip(d0e).zip(h0e).enumerate() {
+            let hh = silu(x0h, d0h);
+            *h0h = hh;
+            *a_e += wv[h] * hh;
+        }
+        v[0] += uh[0] * *a_e;
+        v[1] += uh[1] * *a_e;
+        v[2] += uh[2] * *a_e;
     }
     let q = dot(v, v);
-    // ---- layer 1 + energy ----
+    // ---- layer 1 pre-activations ----
     let layer1 = scratch
         .x1
         .chunks_exact_mut(hdim)
-        .zip(scratch.d1.chunks_exact_mut(hdim));
-    for (e, (x1e, d1e)) in layer1.enumerate() {
-        let p_e = dot(v, scratch.uhat[e]);
-        let h0e = &scratch.h0[e * hdim..(e + 1) * hdim];
-        for (h, (x1h, d1h)) in x1e.iter_mut().zip(d1e).enumerate() {
+        .zip(scratch.h0.chunks_exact(hdim));
+    for ((x1e, h0e), &uh) in layer1.zip(&scratch.uhat) {
+        let p_e = dot(v, uh);
+        for (h, x1h) in x1e.iter_mut().enumerate() {
             let urow = &u[h * (hdim + 2)..(h + 1) * (hdim + 2)];
             let mut acc = b1[h];
             for (&uz, &h0z) in urow.iter().zip(h0e) {
@@ -222,8 +249,19 @@ pub(crate) fn accumulate_center<R: Real>(
             acc += urow[hdim] * q;
             acc += urow[hdim + 1] * p_e;
             *x1h = acc;
-            *d1h = silu_denom(acc);
-            energy += we[h] * silu(acc, *d1h);
+        }
+    }
+    for (d, &x) in scratch.d1.iter_mut().zip(&scratch.x1) {
+        *d = R::denom(x);
+    }
+    // ---- energy: edges in list order, then features ----
+    let layer1 = scratch
+        .x1
+        .chunks_exact(hdim)
+        .zip(scratch.d1.chunks_exact(hdim));
+    for (x1e, d1e) in layer1 {
+        for ((&x1h, &d1h), &weh) in x1e.iter().zip(d1e).zip(we) {
+            energy += weh * silu(x1h, d1h);
         }
     }
     // ---- reverse pass A: gq, gp, gh0 through layer 1 ----
