@@ -102,8 +102,9 @@ impl<R: Real> Scratch<R> {
 }
 
 /// [`RadialBasis::eval_with_deriv`](crate::basis::RadialBasis::eval_with_deriv)
-/// at precision `R`. The cutoff's `sin(a·r)` and `cos(a·r)` are those of
-/// the k = 1 term (`1·a·r == a·r` exactly), computed once.
+/// at precision `R`, from one `sin`/`cos` pair: the k = 1 term's
+/// `sin(a·r)` and `cos(a·r)` also give the cutoff, and every k > 1 follows
+/// from them by angle addition.
 fn basis<R: Real>(rcut: f64, r: R, val: &mut [R], dval: &mut [R]) {
     let half = R::from_f64(0.5);
     let rc = R::from_f64(rcut);
@@ -116,17 +117,15 @@ fn basis<R: Real>(rcut: f64, r: R, val: &mut [R], dval: &mut [R]) {
     };
     let floor = R::from_f64(1e-12);
     let inv_r = R::ONE / if r > floor { r } else { floor };
+    let (mut s, mut c) = (s1, c1);
     for (k, (v, dv)) in val.iter_mut().zip(dval.iter_mut()).enumerate() {
         let kk = R::from_f64((k + 1) as f64);
-        let (s, c) = if k == 0 {
-            (s1, c1)
-        } else {
-            ((kk * a * r).sin(), (kk * a * r).cos())
-        };
         let g = s * inv_r;
         let dg = (kk * a * c - s * inv_r) * inv_r;
         *v = g * fc;
         *dv = dg * fc + g * dfc;
+        // sin and cos of (k + 2)·a·r, by angle addition.
+        (s, c) = (s * c1 + c * s1, c * c1 - s * s1);
     }
 }
 
