@@ -28,7 +28,7 @@
 //! accumulator sums in a fixed order: over edges in list order (ascending
 //! neighbour index), then over hidden and radial features.
 
-use crate::model::{silu, silu_denom, silu_deriv, species_index, ModelConfig, Offsets};
+use crate::model::{silu_denom, species_index, ModelConfig, Offsets};
 use mlmd_numerics::complex::Real;
 use mlmd_numerics::vec3::Vec3;
 use mlmd_qxmd::atoms::Species;
@@ -41,12 +41,12 @@ pub(crate) struct Scratch<R> {
     b: Vec<R>,
     db: Vec<R>,
     x0: Vec<R>,
-    /// `1 + e^(−x0)` per layer-0 activation: [`silu`] and its derivative
-    /// share one exponential.
+    /// The sigmoid `1/(1 + e^(−x0))` per layer-0 activation: SiLU and its
+    /// derivative share one exponential and one division.
     d0: Vec<R>,
     h0: Vec<R>,
     x1: Vec<R>,
-    /// `1 + e^(−x1)` per layer-1 activation.
+    /// The sigmoid `1/(1 + e^(−x1))` per layer-1 activation.
     d1: Vec<R>,
     gh0: Vec<R>,
     a: Vec<R>,
@@ -149,6 +149,13 @@ impl KernelReal for f32 {
     }
 }
 
+/// `silu'(x) = s·(1 + x·(1 − s))`, given the sigmoid `s` of `x`
+/// (`silu(x) = x·s`).
+#[inline]
+fn silu_deriv<R: Real>(x: R, s: R) -> R {
+    s * (R::ONE + x * (R::ONE - s))
+}
+
 #[inline]
 fn dot<R: Real>(a: [R; 3], b: [R; 3]) -> R {
     a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
@@ -210,8 +217,8 @@ pub(crate) fn accumulate_center<R: KernelReal>(
             *x0h = acc;
         }
     }
-    for (d, &x) in scratch.d0.iter_mut().zip(&scratch.x0) {
-        *d = R::denom(x);
+    for (s, &x) in scratch.d0.iter_mut().zip(&scratch.x0) {
+        *s = R::ONE / R::denom(x);
     }
     // ---- layer 0 activations + vector channel ----
     let mut v = [R::ZERO; 3];
@@ -220,10 +227,10 @@ pub(crate) fn accumulate_center<R: KernelReal>(
         .chunks_exact(hdim)
         .zip(scratch.d0.chunks_exact(hdim));
     let edges = scratch.h0.chunks_exact_mut(hdim).zip(&mut scratch.a);
-    for (((x0e, d0e), (h0e, a_e)), uh) in layer0.zip(edges).zip(&scratch.uhat) {
+    for (((x0e, s0e), (h0e, a_e)), uh) in layer0.zip(edges).zip(&scratch.uhat) {
         *a_e = R::ZERO;
-        for (h, ((&x0h, &d0h), h0h)) in x0e.iter().zip(d0e).zip(h0e).enumerate() {
-            let hh = silu(x0h, d0h);
+        for (h, ((&x0h, &s0h), h0h)) in x0e.iter().zip(s0e).zip(h0e).enumerate() {
+            let hh = x0h * s0h;
             *h0h = hh;
             *a_e += wv[h] * hh;
         }
@@ -250,17 +257,17 @@ pub(crate) fn accumulate_center<R: KernelReal>(
             *x1h = acc;
         }
     }
-    for (d, &x) in scratch.d1.iter_mut().zip(&scratch.x1) {
-        *d = R::denom(x);
+    for (s, &x) in scratch.d1.iter_mut().zip(&scratch.x1) {
+        *s = R::ONE / R::denom(x);
     }
     // ---- energy: edges in list order, then features ----
     let layer1 = scratch
         .x1
         .chunks_exact(hdim)
         .zip(scratch.d1.chunks_exact(hdim));
-    for (x1e, d1e) in layer1 {
-        for ((&x1h, &d1h), &weh) in x1e.iter().zip(d1e).zip(we) {
-            energy += weh * silu(x1h, d1h);
+    for (x1e, s1e) in layer1 {
+        for ((&x1h, &s1h), &weh) in x1e.iter().zip(s1e).zip(we) {
+            energy += weh * (x1h * s1h);
         }
     }
     // ---- reverse pass A: gq, gp, gh0 through layer 1 ----
@@ -269,11 +276,11 @@ pub(crate) fn accumulate_center<R: KernelReal>(
         .x1
         .chunks_exact(hdim)
         .zip(scratch.d1.chunks_exact(hdim));
-    for (e, (x1e, d1e)) in layer1.enumerate() {
+    for (e, (x1e, s1e)) in layer1.enumerate() {
         let gh0e = &mut scratch.gh0[e * hdim..(e + 1) * hdim];
-        for (h, (&x1h, &d1h)) in x1e.iter().zip(d1e).enumerate() {
+        for (h, (&x1h, &s1h)) in x1e.iter().zip(s1e).enumerate() {
             let urow = &u[h * (hdim + 2)..(h + 1) * (hdim + 2)];
-            let gx1 = we[h] * silu_deriv(x1h, d1h);
+            let gx1 = we[h] * silu_deriv(x1h, s1h);
             for (g0, &uz) in gh0e.iter_mut().zip(urow) {
                 *g0 += gx1 * uz;
             }
@@ -296,13 +303,13 @@ pub(crate) fn accumulate_center<R: KernelReal>(
         let pt = scratch.pt[e];
         let ga = dot(uh, gv);
         let x0e = &scratch.x0[e * hdim..(e + 1) * hdim];
-        let d0e = &scratch.d0[e * hdim..(e + 1) * hdim];
+        let s0e = &scratch.d0[e * hdim..(e + 1) * hdim];
         let gh0e = &scratch.gh0[e * hdim..(e + 1) * hdim];
         let dbe = &scratch.db[e * kdim..(e + 1) * kdim];
         let mut gr = R::ZERO;
-        for (h, ((&x0h, &d0h), &gh0l1)) in x0e.iter().zip(d0e).zip(gh0e).enumerate() {
+        for (h, ((&x0h, &s0h), &gh0l1)) in x0e.iter().zip(s0e).zip(gh0e).enumerate() {
             let gh0 = gh0l1 + wv[h] * ga;
-            let gx0 = gh0 * silu_deriv(x0h, d0h);
+            let gx0 = gh0 * silu_deriv(x0h, s0h);
             let row = pt * hdim + h;
             for (&w, &dbv) in w0[row * kdim..(row + 1) * kdim].iter().zip(dbe) {
                 gr += gx0 * w * dbv;
