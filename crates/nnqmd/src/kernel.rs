@@ -371,6 +371,7 @@ pub(crate) fn accumulate_center<R: KernelReal>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::RadialBasis;
 
     #[test]
     fn exp_f32_is_within_three_epsilon_of_f64_exp() {
@@ -396,5 +397,42 @@ mod tests {
             let y = exp_f32(x);
             assert!(y.is_finite() && y >= 0.0, "exp_f32({x}) = {y}");
         }
+    }
+
+    #[test]
+    fn basis_recurrence_matches_the_direct_radial_basis() {
+        // The angle-addition basis against `RadialBasis`'s direct sin/cos,
+        // values and derivatives, at r = i·r_c/500 for i in 1..500. Both
+        // take the derivative as (k·a·cos − sin/r)/r, which cancels as
+        // r → 0 and so loses digits as 1/r in either evaluation: errors
+        // are measured in units of max(1, 1/r), r in Å. The f32 error is
+        // relative to the basis scale k_max·π/r_c, the largest |B_k|.
+        // Measured: 5.4e-15 at f64, 5.2e-7 at f32.
+        let rcut = 3.5;
+        let (mut worst64, mut worst32) = (0.0f64, 0.0f64);
+        for k_max in [1, 4, 8] {
+            let direct = RadialBasis::new(k_max, rcut);
+            let scale = k_max as f64 * std::f64::consts::PI / rcut;
+            let (mut v, mut dv) = (vec![0.0; k_max], vec![0.0; k_max]);
+            let (mut v64, mut dv64) = (vec![0.0f64; k_max], vec![0.0f64; k_max]);
+            let (mut v32, mut dv32) = (vec![0.0f32; k_max], vec![0.0f32; k_max]);
+            for i in 1..500 {
+                let r = rcut * i as f64 / 500.0;
+                let unit = r.recip().max(1.0);
+                direct.eval_with_deriv(r, &mut v, &mut dv);
+                basis(rcut, r, &mut v64, &mut dv64);
+                basis(rcut, r as f32, &mut v32, &mut dv32);
+                let got = v64.iter().chain(&dv64).zip(v32.iter().chain(&dv32));
+                for (&want, (&g64, &g32)) in v.iter().chain(&dv).zip(got) {
+                    worst64 = worst64.max((g64 - want).abs() / unit);
+                    worst32 = worst32.max((f64::from(g32) - want).abs() / (unit * scale));
+                }
+            }
+        }
+        assert!(worst64 <= 1e-13, "f64 basis off by {worst64:.3e}");
+        assert!(
+            worst32 <= 1e-5,
+            "f32 basis off by {worst32:.3e} of its scale"
+        );
     }
 }
