@@ -91,12 +91,6 @@ impl FidelityScalingModel {
         }
     }
 
-    /// Sample one single-atom Weibull(k, λ) first-passage time.
-    pub fn sample_one(&self, rng: &mut impl Rng64) -> f64 {
-        let u = rng.next_f64().max(1e-300);
-        self.t_scale * (-u.ln()).powf(1.0 / self.shape)
-    }
-
     /// Time-to-failure of an `n`-atom system: the minimum over n channels.
     /// Uses the closed-form minimum: min of n Weibull(k, λ) is
     /// Weibull(k, λ·n^{−1/k}).

@@ -392,17 +392,6 @@ impl AllegroLite {
         }
         (EvalResult { energy, forces }, pgrad)
     }
-
-    /// Per-atom energy scale of the current parameters on a structure
-    /// (diagnostic used by tests and TEA).
-    pub fn energy_per_atom(
-        &self,
-        species: &[Species],
-        positions: &[Vec3],
-        box_lengths: Vec3,
-    ) -> f64 {
-        self.evaluate(species, positions, box_lengths).energy / positions.len() as f64
-    }
 }
 
 /// BF16-storage / f32-accumulate network: the oneMKL `float_to_BF16`

@@ -163,16 +163,6 @@ pub fn force_rmse(model: &AllegroLite, data: &Dataset) -> f64 {
     (ss / count.max(1) as f64).sqrt()
 }
 
-/// Per-atom energy MAE (eV/atom).
-pub fn energy_mae(model: &AllegroLite, data: &Dataset) -> f64 {
-    let mut s = 0.0;
-    for frame in &data.frames {
-        let res = model.evaluate(&frame.species, &frame.positions, frame.box_lengths);
-        s += ((res.energy - frame.energy) / frame.positions.len() as f64).abs();
-    }
-    s / data.frames.len().max(1) as f64
-}
-
 /// Adam optimizer state.
 #[derive(Clone, Debug)]
 pub struct Adam {
