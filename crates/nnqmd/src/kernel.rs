@@ -17,18 +17,23 @@
 //! separate implementation (it also carries parameter gradients) and is
 //! the oracle the inference tests compare this kernel against.
 //!
-//! Per directed edge the kernel spends its transcendentals once each: one
-//! exponential per activation (`d = 1 + e^(−x)` is kept in [`Scratch`]
-//! for the reverse pass, which evaluates the derivative from it) and one
-//! `sin`/`cos` per radial basis function (the cutoff reuses the k = 1
-//! pair) — 2·H exponentials and 2·K trig calls for width H and K radial
-//! functions. Every value is the same floating-point expression it was
-//! when each use computed its own, so the results are bit-identical to
-//! that form (pinned by the golden digests in `infer.rs`). Each
-//! accumulator sums in a fixed order: over edges in list order (ascending
-//! neighbour index), then over hidden and radial features.
+//! Per directed edge, for width H and K radial functions, the kernel
+//! makes one `sin`/`cos` pair (every k > 1 of the basis follows by angle
+//! addition, and the cutoff reuses the k = 1 pair), one exponential and
+//! one division per activation (the sigmoid `s = 1/(1 + e^(−x))` is kept
+//! in [`Scratch`]; SiLU is `x·s` and its derivative `s·(1 + x·(1 − s))`):
+//! 2 trig calls, 2·H exponentials and 2·H divisions, that is 2, 12 and 12
+//! at H = 6, K = 4. Each layer's sigmoids are one flat pass over all of a
+//! centre's edges; at `f32` its exponential is a branch-free polynomial
+//! ([`KernelReal`]), so that pass vectorizes, while `f64` keeps libm.
+//! These expressions round differently from the direct `sin(k·a·r)`,
+//! `x/d` and libm `expf` they replace, so the results were re-baselined,
+//! not kept bit-identical: the golden digests in `infer.rs` pin the
+//! current program. Each accumulator sums in a fixed order: over edges
+//! in list order (ascending neighbour index), then over hidden and radial
+//! features.
 
-use crate::model::{silu_denom, species_index, ModelConfig, Offsets};
+use crate::model::{silu_denom, silu_deriv, species_index, ModelConfig, Offsets};
 use mlmd_numerics::complex::Real;
 use mlmd_numerics::vec3::Vec3;
 use mlmd_qxmd::atoms::Species;
@@ -131,7 +136,7 @@ fn basis<R: Real>(rcut: f64, r: R, val: &mut [R], dval: &mut [R]) {
 
 /// The precisions the kernel runs at, each with its own SiLU denominator.
 pub(crate) trait KernelReal: Real {
-    /// `1 + e^(−x)`.
+    /// `1 + e^(−x)`: libm at `f64`, [`exp_f32`] at `f32`.
     fn denom(x: Self) -> Self;
 }
 
@@ -179,15 +184,9 @@ fn exp_f32(x: f32) -> f32 {
     let r = (x - n * LN2_HI) - n * LN2_LO;
     let p = P[1..].iter().fold(P[0], |p, &c| p * r + c);
     let er = p * (r * r) + r + 1.0;
-    let n_bits = t.to_bits() as i32 - SHIFT.to_bits() as i32;
-    er * f32::from_bits(((n_bits + 127) as u32) << 23)
-}
-
-/// `silu'(x) = s·(1 + x·(1 − s))`, given the sigmoid `s` of `x`
-/// (`silu(x) = x·s`).
-#[inline]
-fn silu_deriv<R: Real>(x: R, s: R) -> R {
-    s * (R::ONE + x * (R::ONE - s))
+    // n again, as an integer read from t's low mantissa bits.
+    let n_int = t.to_bits() as i32 - SHIFT.to_bits() as i32;
+    er * f32::from_bits(((n_int + 127) as u32) << 23)
 }
 
 #[inline]

@@ -95,7 +95,7 @@ pub(crate) fn species_index(s: Species) -> usize {
 }
 
 /// `d = 1 + e^(−x)`: the one exponential [`silu`] and [`silu_deriv`] of
-/// the same `x` share.
+/// the same `x` share (the latter through the sigmoid `1/d`).
 #[inline]
 pub(crate) fn silu_denom<R: Real>(x: R) -> R {
     R::ONE + (-x).exp()
@@ -107,10 +107,9 @@ pub(crate) fn silu<R: Real>(x: R, d: R) -> R {
     x / d
 }
 
-/// `silu'(x) = s·(1 + x·(1 − s))` with `s = 1/d`, given `d = silu_denom(x)`.
+/// `silu'(x) = s·(1 + x·(1 − s))`, given the sigmoid `s = 1/silu_denom(x)`.
 #[inline]
-pub(crate) fn silu_deriv<R: Real>(x: R, d: R) -> R {
-    let s = R::ONE / d;
+pub(crate) fn silu_deriv<R: Real>(x: R, s: R) -> R {
     s * (R::ONE + x * (R::ONE - s))
 }
 
@@ -339,7 +338,7 @@ impl AllegroLite {
             for (eidx, (e, c)) in edges.iter().zip(&l1).enumerate() {
                 let _ = e;
                 for h in 0..hdim {
-                    let gx1 = self.we(h) * silu_deriv(c.x1[h], silu_denom(c.x1[h]));
+                    let gx1 = self.we(h) * silu_deriv(c.x1[h], 1.0 / silu_denom(c.x1[h]));
                     if let Some(g) = pgrad.as_deref_mut() {
                         g[self.off.we + h] += c.h1[h];
                         g[self.off.b1 + h] += gx1;
@@ -368,7 +367,7 @@ impl AllegroLite {
                 let mut gr = 0.0; // dE/dr for this edge
                 for h in 0..hdim {
                     let gh0 = gh0_l1[eidx][h] + self.wv(h) * ga;
-                    let gx0 = gh0 * silu_deriv(e.x0[h], silu_denom(e.x0[h]));
+                    let gx0 = gh0 * silu_deriv(e.x0[h], 1.0 / silu_denom(e.x0[h]));
                     if let Some(g) = pgrad.as_deref_mut() {
                         g[self.off.wv + h] += e.h0[h] * ga;
                         g[self.off.b0 + e.pt * hdim + h] += gx0;
