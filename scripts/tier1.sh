@@ -7,9 +7,9 @@
 # integration, and doc tests), the release-mode host-timing gates, the
 # release-mode pipeline suite (the ten-seed switching verdict), the
 # release-mode Ehrenfest golden digests and MESH distributed pins, the
-# release-mode NN inference pins and neighbour oracle, the benchmark
-# smoke, and the doc, link, formatting and lint checks. Exits non-zero on
-# the first failure.
+# release-mode NN inference pins, physics properties and neighbour
+# oracle, the benchmark smoke, and the doc, link, formatting and lint
+# checks. Exits non-zero on the first failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -30,8 +30,8 @@ echo "==> cargo test --release -q -p mlmd-dcmesh --lib ehrenfest && cargo test -
 cargo test --release -q -p mlmd-dcmesh --lib ehrenfest
 cargo test --release -q --test mesh_dist
 
-echo "==> cargo test --release -q -p mlmd-nnqmd --lib && cargo test --release -q -p mlmd-qxmd --lib neighbor  (NN inference pins + neighbour oracle hold under the optimizer)"
-cargo test --release -q -p mlmd-nnqmd --lib
+echo "==> cargo test --release -q -p mlmd-nnqmd && cargo test --release -q -p mlmd-qxmd --lib neighbor  (NN inference pins, physics properties + neighbour oracle hold under the optimizer)"
+cargo test --release -q -p mlmd-nnqmd
 cargo test --release -q -p mlmd-qxmd --lib neighbor
 
 echo "==> benchmark/run.sh --smoke  (all six BENCHMARK.json workloads, every output check, 0 failed)"
