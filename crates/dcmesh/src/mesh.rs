@@ -38,26 +38,19 @@ use mlmd_topo::polarization::PolarizationField;
 use mlmd_topo::switching::TextureReport;
 use std::sync::Arc;
 
-/// Driver settings.
+/// Driver settings: the time step, the inner loop and the excitation
+/// scale. The surface-hopping bath (300 K, rate scale 10) and the
+/// ground-state pre-descent (η = 0.1, 60 sweeps) are fixed physics of
+/// the driver, not settings.
 #[derive(Clone, Copy, Debug)]
 pub struct MeshConfig {
     /// MD time step (fs).
     pub dt_md_fs: f64,
     /// Inner Ehrenfest loop.
     pub ehrenfest: EhrenfestConfig,
-    /// Surface-hopping temperature (K) and rate scale.
-    pub sh_temperature: f64,
-    pub sh_rate: f64,
     /// Scaling from `n_exc` to the per-cell excitation fraction fed to
     /// the ferroelectric model.
     pub exc_per_cell_scale: f64,
-    /// Steepest-descent damping η of the ground-state pre-descent that
-    /// relaxes the initial panel into adiabatic eigenstates. Participates
-    /// in the checkpoint config hash ([`crate::checkpoint::ground_state_key`]).
-    pub descent_eta: f64,
-    /// Sweep count of the ground-state pre-descent. Participates in the
-    /// checkpoint config hash.
-    pub descent_steps: usize,
 }
 
 impl Default for MeshConfig {
@@ -69,11 +62,7 @@ impl Default for MeshConfig {
                 n_qd: 50,
                 self_consistent: false,
             },
-            sh_temperature: 300.0,
-            sh_rate: 10.0,
             exc_per_cell_scale: 1.0,
-            descent_eta: 0.1,
-            descent_steps: 60,
         }
     }
 }
@@ -93,9 +82,9 @@ pub struct MeshStepRecord {
     pub topological_charge: f64,
 }
 
-/// Builder for [`MeshDriver`]: names the eight construction inputs and
-/// defaults the ones that rarely change (config, tracked sites, transfer
-/// ledger, polarization axis). This is the construction seam the
+/// Builder for [`MeshDriver`]: names the construction inputs and
+/// defaults the ones that rarely change (config, drive, tracked sites,
+/// transfer ledger, warm-start source). This is the construction seam the
 /// `mlmd-core` engine layer exposes — pipeline code and tests assemble
 /// probe drivers through it instead of a hidden escape hatch.
 ///
@@ -136,7 +125,6 @@ pub struct MeshDriverBuilder {
     drive: Drive,
     tracked_sites: Vec<(usize, AtomSite)>,
     ledger: Arc<TransferLedger>,
-    polarization_axis: Vec3,
     warm_start: WarmStart,
 }
 
@@ -159,7 +147,6 @@ impl MeshDriverBuilder {
             drive: Drive::Gaussian(GaussianPulse::new(0.0, 1.0, 4.0, 2.0)),
             tracked_sites: Vec::new(),
             ledger: Arc::new(TransferLedger::new()),
-            polarization_axis: Vec3::EZ,
             warm_start: WarmStart::Fresh,
         }
     }
@@ -197,11 +184,6 @@ impl MeshDriverBuilder {
         self
     }
 
-    pub fn polarization_axis(mut self, axis: Vec3) -> Self {
-        self.polarization_axis = axis;
-        self
-    }
-
     /// Where to get the converged ground state from: `Fresh` (always
     /// descend — the default, and the serial oracle's behavior), an
     /// in-memory [`crate::checkpoint::GroundStateCache`], or a checkpoint
@@ -226,8 +208,8 @@ impl MeshDriverBuilder {
             self.wf.panel_digest(),
             self.occupations.as_slice(),
             &vloc0,
-            self.config.descent_eta,
-            self.config.descent_steps,
+            DESCENT_ETA,
+            DESCENT_STEPS,
         )
     }
 
@@ -235,7 +217,6 @@ impl MeshDriverBuilder {
     /// cold path), regardless of the warm-start source.
     pub fn ground_state(&self) -> GroundState {
         compute_ground_state(
-            &self.config,
             self.wf.clone(),
             &self.occupations,
             &self.tracked_sites,
@@ -289,13 +270,12 @@ impl MeshDriverBuilder {
             atoms: self.atoms,
             ferro: self.ferro,
             drive: self.drive,
-            polarization_axis: self.polarization_axis,
             psi0,
             occupied0,
             tracked_sites: self.tracked_sites,
             last_vloc: vloc0,
             time_fs: 0.0,
-            hopping: SurfaceHopping::new(self.config.sh_temperature, self.config.sh_rate),
+            hopping: SurfaceHopping::new(SH_TEMPERATURE, SH_RATE),
             last_eps: Vec::new(),
         }
     }
@@ -306,6 +286,10 @@ impl MeshDriverBuilder {
     }
 }
 
+/// Surface-hopping bath temperature (K) and rate scale.
+const SH_TEMPERATURE: f64 = 300.0;
+const SH_RATE: f64 = 10.0;
+
 /// The integrated MESH driver for one DC domain coupled to a QXMD
 /// supercell. `crate::dist_mesh::DistributedMeshDriver` holds one replica
 /// per rank and advances it through the same `MeshDriver::step_in`.
@@ -315,7 +299,6 @@ pub struct MeshDriver {
     pub atoms: AtomsSystem,
     pub ferro: FerroModel,
     pub drive: Drive,
-    pub polarization_axis: Vec3,
     /// Reference orbital panel (t = 0) for excitation projection.
     psi0: WaveFunctions,
     /// Which reference states were occupied at t = 0 (the projection
@@ -395,8 +378,7 @@ impl MeshDriver {
         // --- 1. LFD inner loop under the laser (device side) ---
         let t0_au = units::fs_to_au(self.time_fs);
         let drive = self.drive;
-        let pol = self.polarization_axis;
-        let field = move |t: f64| pol * drive.field(t);
+        let field = move |t: f64| Vec3::EZ * drive.field(t);
         let psi_before = self.shadow.wavefunctions().clone();
         let (_, inner) = self.shadow.run_md_step(domain, field, t0_au, cfg.ehrenfest);
         let psi_after = self.shadow.wavefunctions();
@@ -463,6 +445,12 @@ impl MeshDriver {
 // runs redundantly on replicated inputs.
 // ----------------------------------------------------------------------
 
+/// Steepest-descent damping η and sweep count of the ground-state
+/// pre-descent. Both enter the checkpoint config hash
+/// ([`checkpoint::ground_state_key`]) and the header's [`DescentMeta`].
+const DESCENT_ETA: f64 = 0.1;
+const DESCENT_STEPS: usize = 60;
+
 /// Run the ground-state pre-descent: relax the initial orbitals into
 /// adiabatic eigenstates of the initial potential, so the excitation
 /// projection measures genuine light-induced promotion rather than basis
@@ -471,7 +459,6 @@ impl MeshDriver {
 /// is what lets a cache or checkpoint answer "is this the descent I
 /// would run?" without running it.
 fn compute_ground_state(
-    config: &MeshConfig,
     mut wf: WaveFunctions,
     occupations: &Occupations,
     tracked_sites: &[(usize, AtomSite)],
@@ -485,16 +472,10 @@ fn compute_ground_state(
         wf.panel_digest(),
         occupations.as_slice(),
         &vloc0,
-        config.descent_eta,
-        config.descent_steps,
+        DESCENT_ETA,
+        DESCENT_STEPS,
     );
-    crate::scf::refine_orbitals(
-        &grid,
-        &vloc0,
-        &mut wf,
-        config.descent_eta,
-        config.descent_steps,
-    );
+    crate::scf::refine_orbitals(&grid, &vloc0, &mut wf, DESCENT_ETA, DESCENT_STEPS);
     crate::scf::subspace_rotate(&grid, &vloc0, &mut wf);
     GroundState {
         key,
@@ -502,8 +483,8 @@ fn compute_ground_state(
         occupations: occupations.as_slice().to_vec(),
         vloc0,
         meta: DescentMeta {
-            eta: config.descent_eta,
-            steps: config.descent_steps as u64,
+            eta: DESCENT_ETA,
+            steps: DESCENT_STEPS as u64,
         },
     }
 }
