@@ -14,10 +14,8 @@ pub struct PipelineConfig {
     pub skyrmion_radius: f64,
     /// Spontaneous Ti displacement amplitude (Å).
     pub u0: f64,
-    /// Preparation MD steps (GS relaxation / thermalization).
+    /// Preparation MD steps (NVE relaxation of the quenched texture).
     pub prepare_steps: usize,
-    /// Preparation temperature (K); 0 = quenched.
-    pub temperature: f64,
     /// Laser peak field (a.u.).
     pub pulse_e0: f64,
     /// Laser carrier frequency (a.u.).
@@ -70,7 +68,6 @@ impl PipelineConfig {
             skyrmion_radius: 6.0,
             u0: 0.3,
             prepare_steps: 20,
-            temperature: 0.0,
             pulse_e0: 0.1,
             pulse_omega: 0.8,
             mesh_steps: 6,

@@ -164,18 +164,14 @@ impl Pipeline {
         self.ferro = force.ferro;
     }
 
-    /// Stage 1: GS relaxation/thermalization of the texture.
+    /// Stage 1: NVE relaxation of the quenched texture on the ground-state
+    /// landscape.
     fn prepare(&mut self) {
         let cfg = self.config;
-        let mut rng = Xoshiro256::new(cfg.seed);
-        if cfg.temperature > 0.0 {
-            self.lattice.system.thermalize(cfg.temperature, &mut rng);
-        }
         self.ferro.set_uniform_excitation(0.0);
-        let thermostat =
-            (cfg.temperature > 0.0).then(|| Langevin::new(cfg.temperature.max(1.0), 0.2));
         let force = SupercellForce::analytic(self.ferro.clone());
-        self.run_md_stage(force, cfg.prepare_steps, thermostat, rng, &mut NullObserver);
+        let rng = Xoshiro256::new(cfg.seed);
+        self.run_md_stage(force, cfg.prepare_steps, None, rng, &mut NullObserver);
     }
 
     /// The embedded-region MESH driver with the given pulse amplitude,
