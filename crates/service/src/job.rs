@@ -78,6 +78,13 @@ const MD_SALT: u64 = u64::from_le_bytes(*b"job-md\0\0");
 const FDTD_SALT: u64 = u64::from_le_bytes(*b"job-fdtd");
 const FLOQUET_SALT: u64 = u64::from_le_bytes(*b"job-flq\0");
 
+/// The FDTD job's fixed geometry: cell size, time step (Courant-stable),
+/// and the Gaussian envelope's centre and width.
+const FDTD_DZ: f64 = 1.0;
+const FDTD_DT: f64 = 0.5;
+const FDTD_T0: f64 = 20.0;
+const FDTD_SIGMA: f64 = 8.0;
+
 /// One simulation request, as data.
 #[derive(Clone, Debug)]
 pub enum JobSpec {
@@ -101,16 +108,13 @@ pub enum JobSpec {
         excitation_fraction: f64,
         n_steps: usize,
     },
-    /// A 1-D FDTD vacuum pulse propagation.
+    /// A 1-D FDTD vacuum pulse propagation on the engine-suite geometry:
+    /// dz 1.0, dt 0.5 (Courant-stable), source at `n_cells / 4`, Gaussian
+    /// envelope centred at t₀ = 20 with width 8.
     FdtdPulse {
         n_cells: usize,
-        dz: f64,
-        dt: f64,
         e0: f64,
         omega: f64,
-        t0: f64,
-        sigma: f64,
-        source_node: usize,
         n_steps: usize,
     },
     /// An SSH-dimer superlattice geometry scan under a fixed periodic
@@ -210,12 +214,6 @@ impl JobSpec {
         JobSpec::PumpProbeSweep { config, amplitudes }
     }
 
-    /// The lit/dark pulse pair of `Pipeline::run`'s stage 2, as a
-    /// single-amplitude sweep.
-    pub fn pulse_pair(config: PipelineConfig) -> Self {
-        Self::pump_probe_sweep(config, vec![config.pulse_e0])
-    }
-
     /// One MESH driver run at amplitude `e0` for `n_steps`.
     pub fn mesh_run(config: PipelineConfig, e0: f64, n_steps: usize) -> Self {
         JobSpec::MeshRun {
@@ -234,19 +232,13 @@ impl JobSpec {
         }
     }
 
-    /// A 1-D FDTD pulse on an `n_cells` vacuum grid (Courant-stable
-    /// defaults: dz 1.0, dt 0.5, source at `n_cells / 4`, pulse center
-    /// t₀ = 20 with width 8 — the engine-suite geometry).
+    /// A 1-D FDTD pulse on an `n_cells` vacuum grid (see
+    /// [`JobSpec::FdtdPulse`] for the fixed geometry).
     pub fn fdtd_pulse(n_cells: usize, e0: f64, omega: f64, n_steps: usize) -> Self {
         JobSpec::FdtdPulse {
             n_cells,
-            dz: 1.0,
-            dt: 0.5,
             e0,
             omega,
-            t0: 20.0,
-            sigma: 8.0,
-            source_node: n_cells / 4,
             n_steps,
         }
     }
@@ -330,24 +322,14 @@ impl JobSpec {
             }
             JobSpec::FdtdPulse {
                 n_cells,
-                dz,
-                dt,
                 e0,
                 omega,
-                t0,
-                sigma,
-                source_node,
                 n_steps,
             } => {
                 h.write_u64(FDTD_SALT);
                 h.write_u64(*n_cells as u64);
-                h.write_f64(*dz);
-                h.write_f64(*dt);
                 h.write_f64(*e0);
                 h.write_f64(*omega);
-                h.write_f64(*t0);
-                h.write_f64(*sigma);
-                h.write_u64(*source_node as u64);
                 h.write_u64(*n_steps as u64);
             }
             JobSpec::FloquetSweep { sweep } => {
@@ -485,20 +467,12 @@ impl JobSpec {
                 progress_stride,
             ),
             JobSpec::FdtdPulse {
-                n_cells,
-                dz,
-                dt,
-                e0,
-                omega,
-                t0,
-                sigma,
-                source_node,
-                ..
+                n_cells, e0, omega, ..
             } => self.run_single(
                 PulsedYee::new(
-                    Yee1d::new(*n_cells, *dz, *dt),
-                    GaussianPulse::new(*e0, *omega, *t0, *sigma),
-                    *source_node,
+                    Yee1d::new(*n_cells, FDTD_DZ, FDTD_DT),
+                    GaussianPulse::new(*e0, *omega, FDTD_T0, FDTD_SIGMA),
+                    *n_cells / 4,
                 ),
                 JobResult::Fdtd,
                 cancel,
