@@ -568,6 +568,95 @@ mod tests {
     }
 
     #[test]
+    fn mesh_keys_cover_exactly_what_the_mesh_stage_reads() {
+        // Every field of the MESH stage's input is either hashed into the
+        // key or does not change the trajectory; the material key itself
+        // is one value for every config.
+        let base = tiny_config();
+        let run = |cfg: PipelineConfig| {
+            let spec = JobSpec::mesh_run(cfg, 0.08, 2);
+            let out = spec.run(
+                &CancelToken::new(),
+                &EventSink::new(),
+                JobId(1),
+                SampleStride::EVERY,
+            );
+            let JobResult::Mesh(records) = out.result else {
+                panic!("mesh result expected");
+            };
+            let bits: Vec<u64> = records
+                .iter()
+                .flat_map(|r| {
+                    let p = r.mean_polarization;
+                    [
+                        r.time_fs,
+                        r.n_exc,
+                        r.absorbed_energy,
+                        p.x,
+                        p.y,
+                        p.z,
+                        r.atom_potential_energy,
+                        r.topological_charge,
+                    ]
+                    .into_iter()
+                    .chain(r.occupations.iter().copied())
+                    .map(f64::to_bits)
+                    .collect::<Vec<_>>()
+                })
+                .collect();
+            (spec.dedup_key(), bits)
+        };
+        let (key, bits) = run(base);
+        let material = JobSpec::material_key(&base);
+
+        type Vary = (&'static str, fn(&mut PipelineConfig));
+        let unread: [Vary; 13] = [
+            ("cells", |c| c.cells = (6, 5, 2)),
+            ("skyrmions", |c| c.skyrmions = (2, 1)),
+            ("skyrmion_radius", |c| c.skyrmion_radius = 1.5),
+            ("u0", |c| c.u0 = 0.2),
+            ("prepare_steps", |c| c.prepare_steps = 7),
+            ("response_steps", |c| c.response_steps = 3),
+            ("response_sample_stride", |c| c.response_sample_stride = 1),
+            ("respond_nn_batches Some(1)", |c| {
+                c.respond_nn_batches = Some(1)
+            }),
+            ("respond_nn_batches Some(3)", |c| {
+                c.respond_nn_batches = Some(3)
+            }),
+            ("excitation_gain", |c| c.excitation_gain = 2.0),
+            ("seed", |c| c.seed = 7),
+            ("pulse_e0", |c| c.pulse_e0 = 0.3),
+            ("mesh_steps", |c| c.mesh_steps = 9),
+        ];
+        for (field, vary) in unread {
+            let mut cfg = base;
+            vary(&mut cfg);
+            assert_eq!(JobSpec::material_key(&cfg), material, "{field}");
+            let (k, b) = run(cfg);
+            assert_eq!(k, key, "{field} is not read by the MESH stage");
+            assert_eq!(b, bits, "{field} must not move the MESH trajectory");
+        }
+
+        let read: [Vary; 5] = [
+            ("dt_fs", |c| c.dt_fs = 0.1),
+            ("pulse_omega", |c| c.pulse_omega = 0.5),
+            ("ehrenfest.dt_qd", |c| c.ehrenfest.dt_qd = 0.04),
+            ("ehrenfest.n_qd", |c| c.ehrenfest.n_qd = 31),
+            ("ehrenfest.self_consistent", |c| {
+                c.ehrenfest.self_consistent = true
+            }),
+        ];
+        for (field, vary) in read {
+            let mut cfg = base;
+            vary(&mut cfg);
+            assert_eq!(JobSpec::material_key(&cfg), material, "{field}");
+            let k = JobSpec::mesh_run(cfg, 0.08, 2).dedup_key();
+            assert_ne!(k, key, "{field} is read by the MESH stage");
+        }
+    }
+
+    #[test]
     fn execution_form_does_not_enter_the_key() {
         // Bit-identical execution forms (distributed batch, warm-start
         // policy) must coalesce with their in-process twins.
