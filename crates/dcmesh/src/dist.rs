@@ -140,11 +140,6 @@ impl DistributedDcScf {
         &self.dom
     }
 
-    /// This domain's orbital panel (replicated within the domain group).
-    pub fn wave_functions(&self) -> &WaveFunctions {
-        &self.wf
-    }
-
     /// Recombine: assemble the global density from all domain cores.
     /// Collective over world; every rank returns the full global ρ.
     pub fn global_density(&self) -> Vec<f64> {

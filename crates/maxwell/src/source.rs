@@ -239,12 +239,6 @@ impl PulseTrain {
         }
     }
 
-    /// Repetition angular frequency `2π/spacing` (the train's Floquet
-    /// fundamental when the pulses overlap into a periodic drive).
-    pub fn repetition_omega(&self) -> f64 {
-        2.0 * std::f64::consts::PI / self.spacing
-    }
-
     /// Field value at time `t`.
     pub fn field(&self, t: f64) -> f64 {
         if self.count == 0 {

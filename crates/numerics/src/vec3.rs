@@ -97,16 +97,6 @@ impl Vec3 {
         let w = |x: f64, l: f64| x - l * (x / l).floor();
         Vec3::new(w(self.x, l.x), w(self.y, l.y), w(self.z, l.z))
     }
-
-    #[inline]
-    pub fn to_array(self) -> [f64; 3] {
-        [self.x, self.y, self.z]
-    }
-
-    #[inline]
-    pub fn from_array(a: [f64; 3]) -> Self {
-        Self::new(a[0], a[1], a[2])
-    }
 }
 
 impl Add for Vec3 {
