@@ -8,8 +8,8 @@
 # release-mode pipeline suite (the ten-seed switching verdict), the
 # release-mode Ehrenfest golden digests and MESH distributed pins, the
 # release-mode NN inference pins, physics properties and neighbour
-# oracle, the benchmark smoke, and the doc, link, formatting and lint
-# checks. Exits non-zero on the first failure.
+# oracle, the benchmark smoke, and the doc, link, dead-pub, formatting
+# and lint checks. Exits non-zero on the first failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,6 +42,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> docs link check (README.md, docs/*.md)"
 scripts/check_links.sh
+
+echo "==> scripts/dead_pub.sh  (no callerless pub fn)"
+scripts/dead_pub.sh
 
 echo "==> cargo fmt --check"
 cargo fmt --check
