@@ -96,17 +96,6 @@ impl Grid3 {
         (i as f64 * self.h, j as f64 * self.h, k as f64 * self.h)
     }
 
-    /// Minimum-image displacement from `a` to `b` under periodic wrap.
-    pub fn min_image(&self, a: (f64, f64, f64), b: (f64, f64, f64)) -> (f64, f64, f64) {
-        let (lx, ly, lz) = self.lengths();
-        let wrap1 = |d: f64, l: f64| d - l * (d / l).round();
-        (
-            wrap1(b.0 - a.0, lx),
-            wrap1(b.1 - a.1, ly),
-            wrap1(b.2 - a.2, lz),
-        )
-    }
-
     /// Reciprocal-space squared wave vector |G|² for FFT index (a, b, c)
     /// with standard wrap-to-negative convention. Used by spectral Poisson.
     pub fn g_squared(&self, a: usize, b: usize, c: usize) -> f64 {
@@ -173,13 +162,6 @@ mod tests {
         let g = Grid3::cubic(10, 0.2);
         assert!((g.dv() - 0.008).abs() < 1e-15);
         assert_eq!(g.len(), 1000);
-    }
-
-    #[test]
-    fn min_image_shorter_than_half_box() {
-        let g = Grid3::cubic(10, 1.0);
-        let d = g.min_image((0.5, 0.5, 0.5), (9.5, 0.5, 0.5));
-        assert!((d.0 + 1.0).abs() < 1e-12, "wraps to -1, got {}", d.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! The acceleration conversion `a = F/m / MASS_TIME_UNIT` keeps the unit
 //! system consistent (1 amu·Å/fs² = 103.64 eV/Å).
 
-use crate::atoms::{AtomsSystem, MASS_TIME_UNIT};
+use crate::atoms::{AtomsSystem, Species, MASS_TIME_UNIT};
 use mlmd_numerics::vec3::Vec3;
 
 /// Anything that can produce forces and a potential energy.
@@ -25,6 +25,12 @@ impl ForceField for crate::ferro::FerroModel {
     fn accumulate(&self, sys: &mut AtomsSystem) -> f64 {
         crate::ferro::FerroModel::accumulate(self, sys)
     }
+}
+
+/// `1 / (m·MASS_TIME_UNIT)` per species, indexed by the `Species`
+/// discriminant: one division per species per call instead of per atom.
+fn inverse_masses() -> [f64; Species::ALL.len()] {
+    Species::ALL.map(|s| 1.0 / (s.mass() * MASS_TIME_UNIT))
 }
 
 /// Velocity Verlet NVE integrator.
@@ -58,11 +64,10 @@ impl VelocityVerlet {
     /// bit-identical to [`step`](Self::step).
     pub fn half_kick_drift(&self, sys: &mut AtomsSystem) {
         let dt = self.dt;
-        let n = sys.len();
+        let inv_m = inverse_masses();
         // Half kick + drift.
-        for i in 0..n {
-            let inv_m = 1.0 / (sys.species[i].mass() * MASS_TIME_UNIT);
-            sys.velocities[i] += sys.forces[i] * (0.5 * dt * inv_m);
+        for i in 0..sys.len() {
+            sys.velocities[i] += sys.forces[i] * (0.5 * dt * inv_m[sys.species[i] as usize]);
             let v = sys.velocities[i];
             sys.positions[i] += v * dt;
         }
@@ -71,10 +76,9 @@ impl VelocityVerlet {
     /// Second half of a step: half kick from the freshly computed forces.
     pub fn half_kick(&self, sys: &mut AtomsSystem) {
         let dt = self.dt;
-        let n = sys.len();
-        for i in 0..n {
-            let inv_m = 1.0 / (sys.species[i].mass() * MASS_TIME_UNIT);
-            sys.velocities[i] += sys.forces[i] * (0.5 * dt * inv_m);
+        let inv_m = inverse_masses();
+        for i in 0..sys.len() {
+            sys.velocities[i] += sys.forces[i] * (0.5 * dt * inv_m[sys.species[i] as usize]);
         }
     }
 

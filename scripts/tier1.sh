@@ -6,6 +6,7 @@
 # Runs the release build, the full workspace test suite (unit, property,
 # integration, and doc tests), the release-mode host-timing gates, the
 # release-mode pipeline suite (the ten-seed switching verdict), the
+# release-mode min_image and ziggurat bit-identity checks, the
 # release-mode Ehrenfest golden digests and MESH distributed pins, the
 # release-mode NN inference pins, physics properties and neighbour
 # oracle, the benchmark smoke, and the doc, link, dead-pub, formatting
@@ -25,6 +26,9 @@ cargo test --release -q -p mlmd-bench --test host_gates
 
 echo "==> cargo test --release -q --test engine_pipeline  (switching verdict over ten seeds)"
 cargo test --release -q --test engine_pipeline
+
+echo "==> cargo test --release -q -p mlmd-numerics --lib  (min_image + ziggurat bit-identity hold under the optimizer)"
+cargo test --release -q -p mlmd-numerics --lib
 
 echo "==> cargo test --release -q -p mlmd-dcmesh --lib ehrenfest && cargo test --release -q --test mesh_dist  (Ehrenfest golden digests and MESH distributed pins hold under the optimizer)"
 cargo test --release -q -p mlmd-dcmesh --lib ehrenfest
