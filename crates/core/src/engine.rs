@@ -10,8 +10,8 @@
 //!   Implemented here for [`MeshDriver`] (DC-MESH), [`MdStage`] (velocity
 //!   Verlet + Langevin + any [`ForceField`] — the pipeline's prepare and
 //!   respond stages, and the XS-NNQMD MD loop when the force field is an
-//!   `NnForceField`), [`PulsedYee`] / [`PulsedMultiscale`] (FDTD light),
-//!   and [`NnMdEnsemble`] (lockstep NNQMD domains, one inference call).
+//!   `NnForceField`), [`PulsedYee`] (FDTD light), and [`NnMdEnsemble`]
+//!   (lockstep NNQMD domains, one inference call).
 //! * [`Observer`] — what to do with each record. Sampling cadence is a
 //!   [`SampleStride`] config value, not a hardcoded `step % 10`.
 //! * [`Engine`] — the run loop gluing a stepper to an observer.
@@ -31,7 +31,7 @@
 
 use mlmd_dcmesh::dist_mesh::DistributedMeshDriver;
 use mlmd_dcmesh::mesh::{MeshDriver, MeshStepRecord};
-use mlmd_maxwell::driver::{FieldRecord, MultiscaleRecord, PulsedMultiscale, PulsedYee};
+use mlmd_maxwell::driver::{FieldRecord, PulsedYee};
 use mlmd_nnqmd::md::{NnForceField, NnMdRecord};
 use mlmd_nnqmd::NnMdEnsemble;
 use mlmd_qxmd::ferro::FerroModel;
@@ -443,18 +443,6 @@ impl Stepper for PulsedYee {
     type Record = FieldRecord;
 
     fn step(&mut self) -> FieldRecord {
-        self.advance()
-    }
-
-    fn time_fs(&self) -> f64 {
-        self.time()
-    }
-}
-
-impl Stepper for PulsedMultiscale {
-    type Record = MultiscaleRecord;
-
-    fn step(&mut self) -> MultiscaleRecord {
         self.advance()
     }
 

@@ -34,11 +34,6 @@ impl XnNnCoupling {
         let per_electron = n_exc / self.domain_electrons.max(1e-300);
         (per_electron * self.gain).clamp(0.0, 1.0)
     }
-
-    /// Eq. (4) mixing weight for the force blend.
-    pub fn mixing_weight(&self, n_exc: f64) -> f64 {
-        self.cell_fraction(n_exc)
-    }
 }
 
 #[cfg(test)]
@@ -52,10 +47,10 @@ mod tests {
             supercell_cells: 1e6,
             gain: 50.0,
         };
-        assert_eq!(c.mixing_weight(0.0), 0.0);
-        assert!(c.mixing_weight(1.0) > 0.0);
-        assert_eq!(c.mixing_weight(1e9), 1.0);
+        assert_eq!(c.cell_fraction(0.0), 0.0);
+        assert!(c.cell_fraction(1.0) > 0.0);
+        assert_eq!(c.cell_fraction(1e9), 1.0);
         // Monotone.
-        assert!(c.mixing_weight(2.0) > c.mixing_weight(1.0));
+        assert!(c.cell_fraction(2.0) > c.cell_fraction(1.0));
     }
 }

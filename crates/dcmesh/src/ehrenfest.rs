@@ -40,7 +40,7 @@ use mlmd_lfd::kin_prop::SplitBlock;
 use mlmd_lfd::occupation::Occupations;
 use mlmd_lfd::propagator::QdStep;
 use mlmd_lfd::wavefunction::WaveFunctions;
-use mlmd_maxwell::source::Drive;
+use mlmd_maxwell::source::GaussianPulse;
 use mlmd_numerics::complex::c64;
 use mlmd_numerics::vec3::Vec3;
 use mlmd_numerics::PAR_THRESHOLD;
@@ -263,17 +263,14 @@ fn step_major_loop(
     block.scatter(wf.psi.as_mut_slice());
 }
 
-/// Convenience: a linearly-polarized drive (any [`Drive`] shape — a
-/// bare Gaussian converts in place) as the field closure.
-pub fn pulse_field(drive: impl Into<Drive>, polarization: Vec3) -> impl Fn(f64) -> Vec3 {
-    let drive = drive.into();
-    move |t| polarization * drive.field(t)
+/// Convenience: a linearly-polarized Gaussian pulse as the field closure.
+pub fn pulse_field(pulse: GaussianPulse, polarization: Vec3) -> impl Fn(f64) -> Vec3 {
+    move |t| polarization * pulse.field(t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlmd_maxwell::source::GaussianPulse;
     use mlmd_numerics::grid::Grid3;
 
     /// Seven plane-wave modes = Γ plus all six ±1 modes: a k-symmetric

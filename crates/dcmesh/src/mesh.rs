@@ -22,7 +22,7 @@ use crate::shadow::ShadowDomain;
 use mlmd_lfd::occupation::Occupations;
 use mlmd_lfd::potential::{ionic_potential, AtomSite};
 use mlmd_lfd::wavefunction::WaveFunctions;
-use mlmd_maxwell::source::{Drive, GaussianPulse};
+use mlmd_maxwell::source::GaussianPulse;
 use mlmd_maxwell::units;
 use mlmd_numerics::grid::Grid3;
 use mlmd_numerics::vec3::Vec3;
@@ -122,7 +122,7 @@ pub struct MeshDriverBuilder {
     occupations: Occupations,
     atoms: AtomsSystem,
     ferro: FerroModel,
-    drive: Drive,
+    pulse: GaussianPulse,
     tracked_sites: Vec<(usize, AtomSite)>,
     ledger: Arc<TransferLedger>,
     warm_start: WarmStart,
@@ -144,7 +144,7 @@ impl MeshDriverBuilder {
             occupations,
             atoms,
             ferro,
-            drive: Drive::Gaussian(GaussianPulse::new(0.0, 1.0, 4.0, 2.0)),
+            pulse: GaussianPulse::new(0.0, 1.0, 4.0, 2.0),
             tracked_sites: Vec::new(),
             ledger: Arc::new(TransferLedger::new()),
             warm_start: WarmStart::Fresh,
@@ -156,18 +156,12 @@ impl MeshDriverBuilder {
         self
     }
 
+    /// The laser pulse on the domain. It is an execution input, not a
+    /// ground-state input — it is deliberately excluded from
+    /// [`Self::config_key`], so every amplitude reuses the same
+    /// warm-start checkpoint.
     pub fn pulse(mut self, pulse: GaussianPulse) -> Self {
-        self.drive = Drive::Gaussian(pulse);
-        self
-    }
-
-    /// Drive the domain with any [`Drive`] shape (CW, chirp, train, …);
-    /// [`Self::pulse`] is the Gaussian special case. The drive is an
-    /// execution input, not a ground-state input — it is deliberately
-    /// excluded from [`Self::config_key`], so switching drive shapes
-    /// reuses the same warm-start checkpoint.
-    pub fn drive(mut self, drive: impl Into<Drive>) -> Self {
-        self.drive = drive.into();
+        self.pulse = pulse;
         self
     }
 
@@ -269,7 +263,7 @@ impl MeshDriverBuilder {
             shadow: ShadowDomain::new(panel, self.occupations, &vloc0, self.ledger),
             atoms: self.atoms,
             ferro: self.ferro,
-            drive: self.drive,
+            pulse: self.pulse,
             psi0,
             occupied0,
             tracked_sites: self.tracked_sites,
@@ -298,7 +292,7 @@ pub struct MeshDriver {
     pub shadow: ShadowDomain,
     pub atoms: AtomsSystem,
     pub ferro: FerroModel,
-    pub drive: Drive,
+    pub pulse: GaussianPulse,
     /// Reference orbital panel (t = 0) for excitation projection.
     psi0: WaveFunctions,
     /// Which reference states were occupied at t = 0 (the projection
@@ -377,8 +371,8 @@ impl MeshDriver {
         };
         // --- 1. LFD inner loop under the laser (device side) ---
         let t0_au = units::fs_to_au(self.time_fs);
-        let drive = self.drive;
-        let field = move |t: f64| Vec3::EZ * drive.field(t);
+        let pulse = self.pulse;
+        let field = move |t: f64| Vec3::EZ * pulse.field(t);
         let psi_before = self.shadow.wavefunctions().clone();
         let (_, inner) = self.shadow.run_md_step(domain, field, t0_au, cfg.ehrenfest);
         let psi_after = self.shadow.wavefunctions();

@@ -103,12 +103,6 @@ impl Machine {
         let depth = (p.max(2) as f64).log2();
         self.collective_alpha(p) + depth * bytes * self.net_beta
     }
-
-    /// Time for a nearest-neighbour halo exchange of `bytes` per face,
-    /// 6 faces, overlappable pairs.
-    pub fn halo_time(&self, bytes_per_face: f64) -> f64 {
-        3.0 * (self.net_alpha + bytes_per_face * self.net_beta)
-    }
 }
 
 #[cfg(test)]
@@ -136,15 +130,6 @@ mod tests {
         let m = Machine::aurora();
         assert!(m.allreduce_time(120_000, 8.0) > m.allreduce_time(6_144, 8.0));
         assert!(m.allreduce_time(1024, 1e6) > m.allreduce_time(1024, 8.0));
-    }
-
-    #[test]
-    fn halo_time_linear_in_bytes() {
-        let m = Machine::aurora();
-        let t1 = m.halo_time(1e6);
-        let t2 = m.halo_time(2e6);
-        assert!(t2 > t1);
-        assert!((t2 - t1 - 3.0 * 1e6 * m.net_beta).abs() < 1e-12);
     }
 
     #[test]

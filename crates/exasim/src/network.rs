@@ -20,16 +20,6 @@ pub fn bcast(machine: &Machine, p: usize, bytes: f64) -> f64 {
     machine.allreduce_time(p, bytes)
 }
 
-/// Pairwise band-exchange inside a domain communicator of `p` ranks:
-/// each rank exchanges `bytes` with every other (orbital redistribution
-/// during hybrid band-space decomposition).
-pub fn band_exchange(machine: &Machine, p: usize, bytes: f64) -> f64 {
-    if p <= 1 {
-        return 0.0;
-    }
-    (p - 1) as f64 * (machine.net_alpha + bytes * machine.net_beta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,12 +32,5 @@ mod tests {
         assert!(t_small < t_big);
         // Tiny-payload gather is within 2x of pure latency.
         assert!(t_small < 2.0 * m.collective_alpha(120_000) + 1e-3);
-    }
-
-    #[test]
-    fn band_exchange_scales_with_group() {
-        let m = Machine::aurora();
-        assert_eq!(band_exchange(&m, 1, 1e6), 0.0);
-        assert!(band_exchange(&m, 8, 1e6) > band_exchange(&m, 2, 1e6));
     }
 }

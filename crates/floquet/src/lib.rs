@@ -9,11 +9,11 @@
 //!
 //! Three modules, one per seam:
 //!
-//! * [`drive`] — the periodic/shaped drive sources ([`drive::CwDrive`],
-//!   [`drive::ChirpedPulse`], [`drive::PulseTrain`], unified with
-//!   [`drive::GaussianPulse`] under the [`drive::Drive`] enum; re-exported
-//!   from `mlmd_maxwell::source`, where the steppers consume them) plus
-//!   Floquet bookkeeping helpers (period, harmonic ladder).
+//! * [`drive`] — the periodic drive source [`drive::CwDrive`], unified
+//!   with [`drive::GaussianPulse`] under the [`drive::Drive`] enum
+//!   (re-exported from `mlmd_maxwell::source`, where the steppers
+//!   consume them), plus Floquet bookkeeping helpers (drive period,
+//!   steps per period).
 //! * [`spectral`] — [`spectral::FloquetObserver`], a streaming windowed
 //!   DFT on the `mlmd_core::engine::Observer` seam: harmonic bins and a
 //!   stroboscopic sub-trace accumulated during the run, no post-hoc
@@ -30,6 +30,6 @@ pub mod drive;
 pub mod spectral;
 pub mod sweep;
 
-pub use drive::{ChirpedPulse, CwDrive, Drive, GaussianPulse, PulseTrain};
+pub use drive::{CwDrive, Drive, GaussianPulse};
 pub use spectral::{FloquetObserver, FloquetSpectrum, HarmonicBin, Window};
 pub use sweep::{DimerConfig, SuperlatticeSweep, SweepPoint};

@@ -84,16 +84,6 @@ impl FloquetSpectrum {
         }
     }
 
-    /// The AC harmonic carrying the most power (1 if the AC spectrum is
-    /// empty).
-    pub fn dominant_harmonic(&self) -> usize {
-        self.bins
-            .iter()
-            .skip(1)
-            .max_by(|a, b| a.power.total_cmp(&b.power))
-            .map_or(1, |b| b.harmonic)
-    }
-
     /// Total power across all bins, DC included.
     pub fn total_power(&self) -> f64 {
         self.bins.iter().map(|b| b.power).sum()
@@ -316,7 +306,6 @@ mod tests {
     fn picks_out_harmonic_content() {
         // Many full periods so leakage is tiny even rectangular.
         let spec = run_synth(Window::Hann, 4000);
-        assert_eq!(spec.dominant_harmonic(), 1);
         // Amplitudes converge to A/2 per the one-sided convention.
         assert!((spec.bins[1].amplitude.abs() - 0.5).abs() < 0.01);
         assert!((spec.bins[3].amplitude.abs() - 0.15).abs() < 0.01);

@@ -43,15 +43,15 @@ pub fn block_density(block: &SplitBlock, occ: &Occupations, rho: &mut [f64]) {
     }
 }
 
-/// ∫ρ dV — the total electron count.
-pub fn electron_count(wf: &WaveFunctions, occ: &Occupations) -> f64 {
-    density(wf, occ).iter().sum::<f64>() * wf.grid.dv()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mlmd_numerics::grid::Grid3;
+
+    /// ∫ρ dV — the total electron count.
+    fn electron_count(wf: &WaveFunctions, occ: &Occupations) -> f64 {
+        density(wf, occ).iter().sum::<f64>() * wf.grid.dv()
+    }
 
     #[test]
     fn integrates_to_electron_count() {

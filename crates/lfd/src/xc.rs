@@ -16,18 +16,6 @@ pub fn vx_lda(rho: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Exchange energy `E_x = ∫ ε_x(ρ) ρ dV` (pass dV separately).
-pub fn ex_lda(rho: &[f64], dv: f64) -> f64 {
-    let c = -0.75 * (3.0 / std::f64::consts::PI).cbrt();
-    rho.iter()
-        .map(|&r| {
-            let r = r.max(0.0);
-            c * r.cbrt() * r
-        })
-        .sum::<f64>()
-        * dv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,21 +40,13 @@ mod tests {
     }
 
     #[test]
-    fn energy_scaling() {
-        // E_x ∝ ρ^{4/3}: doubling ρ multiplies ε·ρ by 2^{4/3}.
-        let e1 = ex_lda(&[1.0; 10], 0.1);
-        let e2 = ex_lda(&[2.0; 10], 0.1);
-        assert!((e2 / e1 - 2.0f64.powf(4.0 / 3.0)).abs() < 1e-12);
-        assert!(e1 < 0.0);
-    }
-
-    #[test]
     fn virial_relation() {
-        // For LDA exchange, v_x = (4/3) ε_x pointwise.
+        // For LDA exchange, v_x = (4/3) ε_x pointwise, with the energy
+        // density ε_x(ρ) = −(3/4)(3/π)^{1/3} ρ^{1/3}.
         let rho = [0.7];
         let mut v = [0.0];
         vx_lda(&rho, &mut v);
-        let eps = ex_lda(&rho, 1.0) / rho[0];
+        let eps = -0.75 * (3.0 / std::f64::consts::PI).cbrt() * rho[0].cbrt();
         assert!((v[0] - 4.0 / 3.0 * eps).abs() < 1e-14);
     }
 

@@ -1,19 +1,17 @@
-//! Self-driving field steppers: a Yee grid (or the multiscale coupled
-//! system) bundled with its soft source and a linear matter response, so
-//! one no-argument call advances the whole configuration.
+//! Self-driving field stepper: a Yee grid bundled with its soft source
+//! and a linear matter response, so one no-argument call advances the
+//! whole configuration.
 //!
-//! [`Yee1d::step`] and [`MultiscaleMaxwell::step`] take the current
-//! density and source as arguments — the right shape for a caller that
-//! computes the matter response itself, but not steppable by a generic
-//! driver loop. [`PulsedYee`] and [`PulsedMultiscale`] close over the
-//! source (any [`Drive`] injected at a fixed node) and an Ohmic
-//! conduction response `J = σE`, which is exactly how every field loop in
-//! the examples and tests drives these solvers. The `mlmd-core` engine
-//! layer implements its `Stepper` contract on these wrappers.
+//! [`Yee1d::step`] takes the current density and source as arguments —
+//! the right shape for a caller that computes the matter response
+//! itself, but not steppable by a generic driver loop. [`PulsedYee`]
+//! closes over the source (any [`Drive`] injected at a fixed node) and an
+//! Ohmic conduction response `J = σE`, which is how the FDTD job and the
+//! Floquet sweep drive the grid. The `mlmd-core` engine layer implements
+//! its `Stepper` contract on this wrapper.
 
 use crate::source::Drive;
 use crate::yee1d::Yee1d;
-use crate::MultiscaleMaxwell;
 
 /// Per-step record of a driven Yee run.
 #[derive(Clone, Copy, Debug)]
@@ -83,83 +81,6 @@ impl PulsedYee {
     }
 }
 
-/// Per-step record of a driven multiscale run.
-#[derive(Clone, Debug)]
-pub struct MultiscaleRecord {
-    /// Field time after the step (natural units, c = 1).
-    pub time: f64,
-    /// Per-cell vector potentials after the step.
-    pub vector_potentials: Vec<f64>,
-    /// Field energy after the step.
-    pub energy: f64,
-}
-
-/// The multiscale Maxwell system driven by a soft [`Drive`] source with
-/// a per-cell Ohmic response `J_c = σ_c ⟨E⟩_c` — the linear stand-in for
-/// the microscopic DC-domain current during field propagation.
-#[derive(Clone, Debug)]
-pub struct PulsedMultiscale {
-    pub sim: MultiscaleMaxwell,
-    pub drive: Drive,
-    /// E-node where the soft source is injected.
-    pub source_node: usize,
-    /// Per-matter-cell conductivity.
-    sigma: Vec<f64>,
-}
-
-impl PulsedMultiscale {
-    /// Vacuum-response cells (`σ = 0`) with the source at `source_node`.
-    pub fn new(sim: MultiscaleMaxwell, drive: impl Into<Drive>, source_node: usize) -> Self {
-        assert!(source_node < sim.field.len(), "source node outside grid");
-        let sigma = vec![0.0; sim.cells.len()];
-        Self {
-            sim,
-            drive: drive.into(),
-            source_node,
-            sigma,
-        }
-    }
-
-    /// Give every matter cell the same Ohmic conductivity.
-    pub fn with_uniform_conductivity(mut self, sigma: f64) -> Self {
-        for s in &mut self.sigma {
-            *s = sigma;
-        }
-        self
-    }
-
-    /// Advance one coupled step: per-cell `J = σ⟨E⟩`, source, field step,
-    /// vector-potential integration.
-    pub fn advance(&mut self) -> MultiscaleRecord {
-        let t = self.sim.field.time();
-        let currents: Vec<f64> = self
-            .sim
-            .cells
-            .iter()
-            .zip(&self.sigma)
-            .map(|(c, s)| {
-                let e: f64 = self.sim.field.ex[c.node0..c.node0 + c.width]
-                    .iter()
-                    .sum::<f64>()
-                    / c.width as f64;
-                s * e
-            })
-            .collect();
-        let src = self.drive.field(t) * self.sim.field.dt;
-        let vector_potentials = self.sim.step(&currents, Some((self.source_node, src)));
-        MultiscaleRecord {
-            time: self.sim.field.time(),
-            vector_potentials,
-            energy: self.sim.field.energy(),
-        }
-    }
-
-    /// Field time (natural units).
-    pub fn time(&self) -> f64 {
-        self.sim.field.time()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,42 +138,6 @@ mod tests {
         assert!(
             cond_end < vac_end || cond_end < 1e-6,
             "conductor must absorb: {cond_end} vs {vac_end}"
-        );
-    }
-
-    #[test]
-    fn pulsed_multiscale_accumulates_vector_potential() {
-        let sim = MultiscaleMaxwell::new(500, 1.0, 0.5, 300, 4, 10);
-        let pulse = GaussianPulse::new(0.2, 0.3, 40.0, 12.0);
-        let mut driven = PulsedMultiscale::new(sim, pulse, 50);
-        let mut last = None;
-        for _ in 0..1200 {
-            last = Some(driven.advance());
-        }
-        let a = last.unwrap().vector_potentials;
-        for (i, &ai) in a.iter().enumerate() {
-            assert!(ai.abs() > 1e-8, "cell {i} never saw the pulse: A = {ai}");
-        }
-    }
-
-    #[test]
-    fn uniform_conductivity_attenuates_transmission() {
-        let run = |sigma: f64| {
-            let sim = MultiscaleMaxwell::new(600, 1.0, 0.5, 200, 15, 4);
-            let pulse = GaussianPulse::new(0.2, 0.3, 40.0, 12.0);
-            let mut driven = PulsedMultiscale::new(sim, pulse, 50).with_uniform_conductivity(sigma);
-            let mut transmitted: f64 = 0.0;
-            for _ in 0..1400 {
-                driven.advance();
-                transmitted = transmitted.max(driven.sim.field.ex[450].abs());
-            }
-            transmitted
-        };
-        let free = run(0.0);
-        let damped = run(0.5);
-        assert!(
-            damped < 0.6 * free,
-            "absorbing slab must attenuate: {damped} vs {free}"
         );
     }
 

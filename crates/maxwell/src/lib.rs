@@ -11,9 +11,9 @@
 //! Eq. (3).
 //!
 //! * [`yee1d`] — 1-D staggered Yee FDTD with Mur absorbing boundaries.
-//! * [`source`] — Gaussian-envelope laser pulses.
+//! * [`source`] — Gaussian-envelope laser pulses and CW drives.
 //! * [`multiscale`] — the macro-cell ↔ DC-domain coupling loop.
-//! * [`driver`] — self-driving wrappers (solver + source + Ohmic
+//! * [`driver`] — the self-driving Yee wrapper (solver + source + Ohmic
 //!   response) in the no-argument stepper shape the engine layer runs.
 //! * [`units`] — atomic-unit conversions for fields and intensities.
 //!
@@ -27,13 +27,12 @@
 //! macroscopic current `J(t)` — the quantity the distributed driver's
 //! per-step boundary E/J exchange publishes across domains, and the
 //! quantity a [`multiscale`] macro-cell feeds back into Ampère's law.
-//! [`driver::PulsedYee`]/[`driver::PulsedMultiscale`] implement the
-//! engine layer's `Stepper` contract, so FDTD runs batch under the same
-//! `RunPlan` machinery as the MD drivers (see
-//! `docs/ARCHITECTURE.md`). Everything here is deterministic pure
-//! arithmetic: the same pulse parameters always produce bit-identical
-//! field histories, which is what lets the oracle suites pin whole
-//! light-matter trajectories with zero tolerance.
+//! [`driver::PulsedYee`] implements the engine layer's `Stepper`
+//! contract, so FDTD runs batch under the same `RunPlan` machinery as
+//! the MD drivers (see `docs/ARCHITECTURE.md`). Everything here is
+//! deterministic pure arithmetic: the same pulse parameters always
+//! produce bit-identical field histories, which is what lets the oracle
+//! suites pin whole light-matter trajectories with zero tolerance.
 
 pub mod driver;
 pub mod multiscale;
@@ -41,7 +40,7 @@ pub mod source;
 pub mod units;
 pub mod yee1d;
 
-pub use driver::{PulsedMultiscale, PulsedYee};
+pub use driver::PulsedYee;
 pub use multiscale::MultiscaleMaxwell;
 pub use source::GaussianPulse;
 pub use yee1d::Yee1d;

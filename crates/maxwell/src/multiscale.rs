@@ -94,11 +94,6 @@ impl MultiscaleMaxwell {
         }
         self.cells.iter().map(|c| c.a).collect()
     }
-
-    /// Vector potentials currently seen by the cells.
-    pub fn vector_potentials(&self) -> Vec<f64> {
-        self.cells.iter().map(|c| c.a).collect()
-    }
 }
 
 #[cfg(test)]
@@ -106,20 +101,28 @@ mod tests {
     use super::*;
     use crate::source::GaussianPulse;
 
-    fn drive(sim: &mut MultiscaleMaxwell, steps: usize, pulse: &GaussianPulse, src_node: usize) {
+    /// Runs `steps` vacuum-response steps; returns the last step's
+    /// per-cell vector potentials.
+    fn drive(
+        sim: &mut MultiscaleMaxwell,
+        steps: usize,
+        pulse: &GaussianPulse,
+        src_node: usize,
+    ) -> Vec<f64> {
         let zeros = vec![0.0; sim.cells.len()];
+        let mut a = Vec::new();
         for _ in 0..steps {
             let t = sim.field.time();
-            sim.step(&zeros, Some((src_node, pulse.field(t) * sim.field.dt)));
+            a = sim.step(&zeros, Some((src_node, pulse.field(t) * sim.field.dt)));
         }
+        a
     }
 
     #[test]
     fn vector_potential_accumulates_when_pulse_passes() {
         let mut sim = MultiscaleMaxwell::new(500, 1.0, 0.5, 300, 4, 10);
         let pulse = GaussianPulse::new(0.2, 0.3, 40.0, 12.0);
-        drive(&mut sim, 1200, &pulse, 50);
-        let a = sim.vector_potentials();
+        let a = drive(&mut sim, 1200, &pulse, 50);
         // The pulse passed through all cells: every A must have moved.
         for (i, &ai) in a.iter().enumerate() {
             assert!(ai.abs() > 1e-8, "cell {i} never saw the pulse: A = {ai}");
@@ -131,12 +134,7 @@ mod tests {
         let mut sim = MultiscaleMaxwell::new(800, 1.0, 0.5, 300, 2, 100);
         let pulse = GaussianPulse::new(0.2, 0.3, 40.0, 12.0);
         // Stop while the pulse is inside the first cell.
-        let zeros = vec![0.0; 2];
-        for _ in 0..700 {
-            let t = sim.field.time();
-            sim.step(&zeros, Some((50, pulse.field(t) * sim.field.dt)));
-        }
-        let a = sim.vector_potentials();
+        let a = drive(&mut sim, 700, &pulse, 50);
         assert!(
             a[0].abs() > 10.0 * a[1].abs().max(1e-12),
             "upstream cell must respond first: {a:?}"

@@ -1,11 +1,11 @@
-//! Laser drive sources: Gaussian pulses, CW drives, chirps, pulse trains.
+//! Laser drive sources: Gaussian pulses and CW drives.
 //!
 //! The paper's Fig. 3 workflow drives the skyrmion superlattice with a
-//! femtosecond pulse; [`GaussianPulse`] is that drive. The Floquet
-//! workload layer (`mlmd-floquet`) additionally needs periodic and
-//! shaped drives; the closed [`Drive`] enum carries any of them through
-//! the steppers ([`crate::driver::PulsedYee`], `MeshDriver`, …) without
-//! making the steppers generic. All quantities in atomic units (see
+//! femtosecond pulse; [`GaussianPulse`] is that drive, and the MESH
+//! drivers hold one. The Floquet workload layer (`mlmd-floquet`)
+//! additionally needs a periodic drive; the closed [`Drive`] enum carries
+//! either shape through [`crate::driver::PulsedYee`] and the Floquet
+//! sweep without making them generic. All quantities in atomic units (see
 //! [`crate::units`]).
 //!
 //! The contract every source upholds: `field(t)` is deterministic and
@@ -37,13 +37,6 @@ impl GaussianPulse {
             sigma,
             phase: 0.0,
         }
-    }
-
-    /// FWHM-specified envelope (intensity FWHM = 2σ√(2 ln 2) · √2⁻¹ care:
-    /// here FWHM refers to the *field* envelope).
-    pub fn with_fwhm(e0: f64, omega: f64, t0: f64, fwhm: f64) -> Self {
-        let sigma = fwhm / (2.0 * (2.0f64.ln() * 2.0).sqrt());
-        Self::new(e0, omega, t0, sigma)
     }
 
     /// Field value at time `t`.
@@ -145,131 +138,14 @@ impl CwDrive {
     }
 }
 
-/// Linearly chirped Gaussian pulse:
-/// `E(t) = E₀ · exp(−τ²/2σ²) · cos(ωτ + bτ² + φ)` with `τ = t − t₀` —
-/// the instantaneous frequency sweeps as `ω + 2bτ` through the pulse.
-/// With `chirp == 0` this is exactly [`GaussianPulse`].
-#[derive(Clone, Copy, Debug)]
-pub struct ChirpedPulse {
-    /// Peak field amplitude (a.u.).
-    pub e0: f64,
-    /// Carrier angular frequency at the pulse center (a.u.).
-    pub omega: f64,
-    /// Pulse center (a.u. of time).
-    pub t0: f64,
-    /// Gaussian σ (a.u. of time).
-    pub sigma: f64,
-    /// Carrier-envelope phase.
-    pub phase: f64,
-    /// Linear chirp rate `b` (a.u. of frequency per time).
-    pub chirp: f64,
-}
-
-impl ChirpedPulse {
-    pub fn new(e0: f64, omega: f64, t0: f64, sigma: f64, chirp: f64) -> Self {
-        Self {
-            e0,
-            omega,
-            t0,
-            sigma,
-            phase: 0.0,
-            chirp,
-        }
-    }
-
-    /// The unchirped pulse with the same envelope and carrier.
-    pub fn unchirped(&self) -> GaussianPulse {
-        GaussianPulse {
-            e0: self.e0,
-            omega: self.omega,
-            t0: self.t0,
-            sigma: self.sigma,
-            phase: self.phase,
-        }
-    }
-
-    /// Envelope only (same Gaussian as the unchirped pulse).
-    pub fn envelope(&self, t: f64) -> f64 {
-        let x = (t - self.t0) / self.sigma;
-        (-0.5 * x * x).exp()
-    }
-
-    /// Instantaneous angular frequency `ω + 2bτ` at time `t`.
-    pub fn instantaneous_omega(&self, t: f64) -> f64 {
-        self.omega + 2.0 * self.chirp * (t - self.t0)
-    }
-
-    /// Field value at time `t`.
-    pub fn field(&self, t: f64) -> f64 {
-        let tau = t - self.t0;
-        self.e0 * self.envelope(t) * (self.omega * tau + self.chirp * tau * tau + self.phase).cos()
-    }
-
-    /// A time after which the pulse is negligible.
-    pub fn end_time(&self) -> f64 {
-        self.t0 + 6.0 * self.sigma
-    }
-}
-
-/// A train of `count` identical Gaussian pulses, the `i`-th delayed by
-/// `i · spacing`: `E(t) = Σᵢ base(t − i·spacing)`.
-///
-/// Edge semantics (pinned by tests):
-/// * `count == 0` — the field is identically zero.
-/// * `count == 1` — bit-for-bit identical to `base` alone.
-/// * overlapping pulses (`spacing < base` width) superpose linearly; a
-///   zero spacing gives `count × base(t)` exactly.
-#[derive(Clone, Copy, Debug)]
-pub struct PulseTrain {
-    /// The repeated pulse shape.
-    pub base: GaussianPulse,
-    /// Number of pulses in the train.
-    pub count: usize,
-    /// Center-to-center delay between consecutive pulses (a.u. of time).
-    pub spacing: f64,
-}
-
-impl PulseTrain {
-    pub fn new(base: GaussianPulse, count: usize, spacing: f64) -> Self {
-        assert!(spacing >= 0.0, "pulse spacing must be non-negative");
-        Self {
-            base,
-            count,
-            spacing,
-        }
-    }
-
-    /// Field value at time `t`.
-    pub fn field(&self, t: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        // First term taken verbatim so a single-pulse train reproduces
-        // the base pulse bit-for-bit (a fold from 0.0 would rewrite
-        // `−0.0` tails to `+0.0`).
-        let mut acc = self.base.field(t);
-        for i in 1..self.count {
-            acc += self.base.field(t - i as f64 * self.spacing);
-        }
-        acc
-    }
-
-    /// A time after which the last pulse is negligible.
-    pub fn end_time(&self) -> f64 {
-        self.base.end_time() + self.count.saturating_sub(1) as f64 * self.spacing
-    }
-}
-
-/// Closed sum of every drive shape, `Copy` so steppers can embed it by
-/// value exactly as they embedded `GaussianPulse`. `Drive::Gaussian(p)`
+/// Closed sum of the two drive shapes, `Copy` so steppers can embed it
+/// by value exactly as they embed `GaussianPulse`. `Drive::Gaussian(p)`
 /// evaluates `p.field(t)` verbatim, so threading `Drive` through a
 /// stepper leaves every Gaussian-driven trajectory bit-identical.
 #[derive(Clone, Copy, Debug)]
 pub enum Drive {
     Gaussian(GaussianPulse),
     Cw(CwDrive),
-    Chirped(ChirpedPulse),
-    Train(PulseTrain),
 }
 
 impl Drive {
@@ -278,8 +154,6 @@ impl Drive {
         match self {
             Drive::Gaussian(p) => p.field(t),
             Drive::Cw(d) => d.field(t),
-            Drive::Chirped(p) => p.field(t),
-            Drive::Train(p) => p.field(t),
         }
     }
 
@@ -289,8 +163,6 @@ impl Drive {
         match self {
             Drive::Gaussian(p) => p.end_time(),
             Drive::Cw(_) => f64::INFINITY,
-            Drive::Chirped(p) => p.end_time(),
-            Drive::Train(p) => p.end_time(),
         }
     }
 
@@ -300,8 +172,6 @@ impl Drive {
         match self {
             Drive::Gaussian(p) => p.omega,
             Drive::Cw(d) => d.omega,
-            Drive::Chirped(p) => p.omega,
-            Drive::Train(p) => p.base.omega,
         }
     }
 
@@ -326,18 +196,6 @@ impl From<CwDrive> for Drive {
     }
 }
 
-impl From<ChirpedPulse> for Drive {
-    fn from(p: ChirpedPulse) -> Self {
-        Drive::Chirped(p)
-    }
-}
-
-impl From<PulseTrain> for Drive {
-    fn from(p: PulseTrain) -> Self {
-        Drive::Train(p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,14 +217,6 @@ mod tests {
         let p = pulse();
         assert!(p.envelope(p.t0 + 3.0 * p.sigma) < 0.02);
         assert!(p.field(p.end_time()).abs() < 1e-7 * p.e0);
-    }
-
-    #[test]
-    fn fwhm_constructor() {
-        let p = GaussianPulse::with_fwhm(1.0, 0.1, 0.0, 100.0);
-        // At t = ±FWHM/2 the envelope is 1/2.
-        assert!((p.envelope(50.0) - 0.5).abs() < 1e-12);
-        assert!((p.envelope(-50.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -434,23 +284,5 @@ mod tests {
         let period = d.period();
         assert!((d.field(t) - d.field(t + period)).abs() < 1e-9);
         assert_eq!(Drive::from(d).end_time(), f64::INFINITY);
-    }
-
-    #[test]
-    fn chirp_zero_matches_gaussian_bitwise() {
-        let base = pulse();
-        let c = ChirpedPulse::new(base.e0, base.omega, base.t0, base.sigma, 0.0);
-        for i in 0..500 {
-            let t = i as f64 * 0.9;
-            assert_eq!(c.field(t).to_bits(), base.field(t).to_bits());
-        }
-    }
-
-    #[test]
-    fn chirp_sweeps_instantaneous_frequency() {
-        let c = ChirpedPulse::new(1.0, 0.5, 100.0, 30.0, 0.002);
-        assert!((c.instantaneous_omega(100.0) - 0.5).abs() < 1e-15);
-        assert!(c.instantaneous_omega(150.0) > 0.5, "up-chirp after center");
-        assert!(c.instantaneous_omega(50.0) < 0.5, "red-shifted before");
     }
 }

@@ -1,8 +1,9 @@
 //! Atomic-unit conversions for light-matter quantities.
 //!
 //! The LFD electron dynamics works in Hartree atomic units (ħ = m_e = e =
-//! a₀ = 1); experimental laser parameters arrive in eV, femtoseconds, and
-//! W/cm². These constants make the conversions explicit and tested.
+//! a₀ = 1); the MD side counts time in femtoseconds and lengths in
+//! Ångström. [`fs_to_au`] and [`BOHR_ANGSTROM`] are the conversions the
+//! MESH driver makes; the other constants record the unit system.
 
 /// Hartree energy in electron-volts.
 pub const HARTREE_EV: f64 = 27.211_386_245_988;
@@ -15,57 +16,14 @@ pub const C_AU: f64 = 137.035_999_084;
 /// Atomic unit of electric field in V/Å.
 pub const EFIELD_AU_V_PER_ANGSTROM: f64 = 51.422_067_476;
 
-/// Photon energy (eV) → angular frequency (a.u.).
-pub fn ev_to_omega_au(ev: f64) -> f64 {
-    ev / HARTREE_EV
-}
-
 /// Femtoseconds → atomic units of time.
 pub fn fs_to_au(fs: f64) -> f64 {
     fs / AUT_FS
 }
 
-/// Atomic units of time → femtoseconds.
-pub fn au_to_fs(au: f64) -> f64 {
-    au * AUT_FS
-}
-
-/// Peak intensity (W/cm²) → peak electric field (a.u.).
-/// `E[a.u.] = sqrt(I / 3.509e16 W/cm²)`.
-pub fn intensity_to_field_au(w_per_cm2: f64) -> f64 {
-    (w_per_cm2 / 3.509_45e16).sqrt()
-}
-
-/// Ångström → bohr.
-pub fn angstrom_to_bohr(a: f64) -> f64 {
-    a / BOHR_ANGSTROM
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trips() {
-        assert!((au_to_fs(fs_to_au(5.0)) - 5.0).abs() < 1e-12);
-        assert!((angstrom_to_bohr(BOHR_ANGSTROM) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn typical_ti_sapphire_photon() {
-        // 1.55 eV ≈ 0.057 hartree.
-        let w = ev_to_omega_au(1.55);
-        assert!((w - 0.05696).abs() < 1e-4);
-    }
-
-    #[test]
-    fn atomic_intensity_reference() {
-        // 3.51e16 W/cm² corresponds to E = 1 a.u.
-        let e = intensity_to_field_au(3.509_45e16);
-        assert!((e - 1.0).abs() < 1e-12);
-        // A typical 1e12 W/cm² experiment is a weak field.
-        assert!(intensity_to_field_au(1e12) < 0.01);
-    }
 
     #[test]
     fn femtosecond_scale() {

@@ -94,16 +94,6 @@ impl Yee1d {
         let h: f64 = self.hy.iter().map(|x| x * x).sum();
         0.5 * (e + h) * self.dz
     }
-
-    /// Node index of the field maximum (pulse tracking in tests).
-    pub fn peak_node(&self) -> usize {
-        self.ex
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -113,6 +103,16 @@ mod tests {
     fn vacuum_step(sim: &mut Yee1d, source: Option<(usize, f64)>) {
         let j = vec![0.0; sim.len()];
         sim.step(&j, source);
+    }
+
+    /// Node index of the field maximum (pulse tracking).
+    fn peak_node(sim: &Yee1d) -> usize {
+        sim.ex
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.abs().partial_cmp(&b.1.abs()).unwrap())
+            .map(|(i, _)| i)
+            .unwrap_or(0)
     }
 
     #[test]
@@ -125,12 +125,12 @@ mod tests {
             let s = ((t - 10.0) / 4.0).powi(2);
             vacuum_step(&mut sim, Some((20, 0.5 * (-0.5 * s).exp())));
         }
-        let p0 = sim.peak_node();
+        let p0 = peak_node(&sim);
         let steps = 300;
         for _ in 0..steps {
             vacuum_step(&mut sim, None);
         }
-        let p1 = sim.peak_node();
+        let p1 = peak_node(&sim);
         let expected = steps as f64 * sim.dt / sim.dz; // c = 1
         let moved = (p1 - p0) as f64;
         assert!(

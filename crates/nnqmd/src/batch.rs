@@ -93,6 +93,7 @@ pub struct ForceBatch {
     net: InferenceModel,
     n_batches: usize,
     expected: usize,
+    /// The stall watchdog: 30 s (a unit test sets it shorter).
     stall_timeout: Duration,
     state: Mutex<BatchState>,
     cv: Condvar,
@@ -130,12 +131,6 @@ impl ForceBatch {
         }
     }
 
-    /// Override the stall watchdog (default 30 s).
-    pub fn with_stall_timeout(mut self, timeout: Duration) -> Self {
-        self.stall_timeout = timeout;
-        self
-    }
-
     /// Completed rendezvous rounds (one batched inference call each).
     pub fn rounds(&self) -> u64 {
         self.rounds.load(Ordering::Relaxed)
@@ -156,7 +151,7 @@ impl ForceBatch {
     /// [`crate::infer::block_evaluate`] with the same arguments.
     ///
     /// # Panics
-    /// If the rendezvous stalls longer than the configured watchdog —
+    /// If the rendezvous stalls longer than the 30 s watchdog —
     /// i.e. fewer than `expected` threads are participating.
     pub fn submit(
         &self,
@@ -398,7 +393,8 @@ mod tests {
     #[should_panic(expected = "ForceBatch stalled")]
     fn missing_participant_trips_the_watchdog() {
         let (sp, ps, bl) = random_system(3, 12);
-        let batch = ForceBatch::new(model(), 2, 2).with_stall_timeout(Duration::from_millis(200));
+        let mut batch = ForceBatch::new(model(), 2, 2);
+        batch.stall_timeout = Duration::from_millis(200);
         // Only one of two expected participants ever submits.
         batch.submit(&sp, &ps, bl);
     }

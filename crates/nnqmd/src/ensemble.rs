@@ -148,11 +148,6 @@ impl NnMdEnsemble {
     pub fn domains(&self) -> &[AtomsSystem] {
         &self.domains
     }
-
-    /// Dissolve the ensemble, returning the evolved domains.
-    pub fn into_domains(self) -> Vec<AtomsSystem> {
-        self.domains
-    }
 }
 
 #[cfg(test)]
@@ -255,7 +250,7 @@ mod tests {
             f64_ens.advance();
             bf16_ens.advance();
         }
-        for (a, b) in f64_ens.into_domains().iter().zip(bf16_ens.domains()) {
+        for (a, b) in f64_ens.domains().iter().zip(bf16_ens.domains()) {
             for (pa, pb) in a.positions.iter().zip(&b.positions) {
                 let d = (*pa - *pb).norm();
                 assert!(d < 0.05, "bf16 trajectory strayed {d} Å after 5 steps");

@@ -7,7 +7,8 @@
 //! ones); products of BF16 values are exact in f32, so a GEMM over the
 //! components with f32 accumulation recovers accuracy as more components are
 //! kept: `BF16 < BF16x2 < BF16x3 ≈ FP32`. This module provides the scalar
-//! type and split machinery; `gemm::mixed` builds the matrix kernels on top.
+//! type and split machinery; `cgemm::cgemm_c32_split` builds the matrix
+//! kernel on top.
 
 /// A 16-bit brain float stored as its raw bit pattern.
 #[allow(non_camel_case_types)]
@@ -135,22 +136,22 @@ pub fn split_slice(x: &[f32], n: usize) -> Vec<Vec<f32>> {
     planes
 }
 
-/// Max relative reconstruction error of the split representation over a
-/// slice; used in tests and the accuracy column of the Table IV harness.
-pub fn reconstruction_error(x: &[f32], n: usize) -> f64 {
-    let mut worst = 0.0f64;
-    for &v in x {
-        let c = split_f32(v, n);
-        let rec: f32 = c.iter().take(n).sum();
-        let denom = v.abs().max(f32::MIN_POSITIVE) as f64;
-        worst = worst.max(((v - rec).abs() as f64) / denom);
-    }
-    worst
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Max relative reconstruction error of the split representation
+    /// over a slice.
+    fn reconstruction_error(x: &[f32], n: usize) -> f64 {
+        let mut worst = 0.0f64;
+        for &v in x {
+            let c = split_f32(v, n);
+            let rec: f32 = c.iter().take(n).sum();
+            let denom = v.abs().max(f32::MIN_POSITIVE) as f64;
+            worst = worst.max(((v - rec).abs() as f64) / denom);
+        }
+        worst
+    }
 
     #[test]
     fn exact_values_survive() {

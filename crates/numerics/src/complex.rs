@@ -139,12 +139,6 @@ impl<T: Real> Complex<T> {
         Self::new(re, T::ZERO)
     }
 
-    /// `r·e^{iθ}`.
-    #[inline]
-    pub fn from_polar(r: T, theta: T) -> Self {
-        Self::new(r * theta.cos(), r * theta.sin())
-    }
-
     /// `e^{iθ}` — the phase factors of split-operator propagation.
     #[inline]
     pub fn cis(theta: T) -> Self {
@@ -186,12 +180,6 @@ impl<T: Real> Complex<T> {
     #[inline(always)]
     pub fn scale(self, s: T) -> Self {
         Self::new(self.re * s, self.im * s)
-    }
-
-    /// Multiply by `i` without a full complex multiply.
-    #[inline(always)]
-    pub fn mul_i(self) -> Self {
-        Self::new(-self.im, self.re)
     }
 
     /// Fused multiply-add: `self + a*b`, keeping intermediate products in
@@ -360,19 +348,6 @@ mod tests {
             let theta = 0.0628 * k as f64;
             assert!((c64::cis(theta).abs() - 1.0).abs() < 1e-14);
         }
-    }
-
-    #[test]
-    fn mul_i_matches_multiplication() {
-        let z = c64::new(2.0, 7.0);
-        assert_eq!(z.mul_i(), z * c64::i());
-    }
-
-    #[test]
-    fn from_polar_round_trip() {
-        let z = c64::from_polar(2.0, 0.7);
-        assert!((z.abs() - 2.0).abs() < 1e-14);
-        assert!((z.arg() - 0.7).abs() < 1e-14);
     }
 
     #[test]

@@ -98,19 +98,6 @@ impl FlopReport {
         }
         self.flops as f64 / secs / 1e9
     }
-
-    /// Achieved TFLOP/s (the paper's unit).
-    pub fn tflops(&self) -> f64 {
-        self.gflops() / 1e3
-    }
-
-    /// Percent of a given peak rate (peak in GFLOP/s).
-    pub fn percent_of_peak(&self, peak_gflops: f64) -> f64 {
-        if peak_gflops <= 0.0 {
-            return 0.0;
-        }
-        100.0 * self.gflops() / peak_gflops
-    }
 }
 
 /// Run a closure and produce a [`FlopReport`] from a counter delta.
@@ -155,8 +142,6 @@ mod tests {
     fn gflops_math() {
         let r = FlopReport::new(2_000_000_000, Duration::from_secs(1));
         assert!((r.gflops() - 2.0).abs() < 1e-12);
-        assert!((r.tflops() - 0.002).abs() < 1e-12);
-        assert!((r.percent_of_peak(4.0) - 50.0).abs() < 1e-9);
     }
 
     #[test]

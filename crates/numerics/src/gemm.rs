@@ -12,7 +12,8 @@
 //!   column strips with rayon (the "hierarchical parallel regions" tier
 //!   mapped to the GPU in Sec. V.B.4).
 //!
-//! plus the mixed-precision split-BF16 modes of Sec. VI.C in [`mixed`].
+//! The mixed-precision split-BF16 modes of Sec. VI.C run on the complex
+//! kernels, in [`crate::cgemm::cgemm_c32_split`].
 //!
 //! All kernels compute `C = alpha·op(A)·op(B) + beta·C` for column-major
 //! matrices; op(A) is expressed through [`MatRef`] strided views (a
@@ -39,7 +40,6 @@
 //! ([`crate::flops::record_gemm`]) once per call, so naive and blocked
 //! report identical counts for the same shape by construction.
 
-use crate::bf16::{split_slice, SplitMode};
 use crate::flops;
 use crate::matrix::{Matrix, Scalar};
 use crate::PAR_THRESHOLD;
@@ -415,56 +415,6 @@ fn check_shapes<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, c: &Matrix<T>) -> (usiz
     (a.rows(), a.cols(), b.cols())
 }
 
-/// Mixed-precision GEMM emulating the XMX/systolic-array compute modes.
-pub mod mixed {
-    use super::*;
-
-    /// `C = A·B` on f32 inputs where each input is decomposed into BF16
-    /// components per `mode`, component products are exact BF16×BF16
-    /// multiplies, and accumulation is FP32 — bit-faithful to the MKL
-    /// `float_to_BF16*` modes on the PVC systolic arrays (paper Sec. VI.C).
-    pub fn gemm_f32_split(mode: SplitMode, a: &Matrix<f32>, b: &Matrix<f32>, c: &mut Matrix<f32>) {
-        let (m, k, n) = super::check_shapes(a, b, c);
-        let ncomp = mode.components();
-        let a_planes = split_slice(a.as_slice(), ncomp);
-        let b_planes = split_slice(b.as_slice(), ncomp);
-        for x in c.as_mut_slice() {
-            *x = 0.0;
-        }
-        for &(ia, ib) in mode.product_pairs() {
-            let ap = Matrix::from_vec(m, k, a_planes[ia].clone());
-            let bp = Matrix::from_vec(k, n, b_planes[ib].clone());
-            let mut partial = Matrix::<f32>::zeros(m, n);
-            gemm_blocked(1.0, &ap, &bp, 0.0, &mut partial);
-            for (ci, pi) in c.as_mut_slice().iter_mut().zip(partial.as_slice()) {
-                *ci += pi;
-            }
-        }
-    }
-
-    /// Worst-case relative error of a split-mode GEMM against the f64
-    /// reference, used by the accuracy ladder tests and the Table IV
-    /// accuracy column.
-    pub fn gemm_relative_error(mode: SplitMode, a: &Matrix<f32>, b: &Matrix<f32>) -> f64 {
-        let (m, n) = (a.rows(), b.cols());
-        let mut c = Matrix::<f32>::zeros(m, n);
-        gemm_f32_split(mode, a, b, &mut c);
-        // f64 reference
-        let a64 = Matrix::from_fn(a.rows(), a.cols(), |i, j| a[(i, j)] as f64);
-        let b64 = Matrix::from_fn(b.rows(), b.cols(), |i, j| b[(i, j)] as f64);
-        let mut r = Matrix::<f64>::zeros(m, n);
-        gemm_blocked(1.0, &a64, &b64, 0.0, &mut r);
-        let scale = r.frobenius_norm().max(f64::MIN_POSITIVE);
-        let mut err = 0.0f64;
-        for j in 0..n {
-            for i in 0..m {
-                err = err.max((c[(i, j)] as f64 - r[(i, j)]).abs());
-            }
-        }
-        err * (m as f64 * n as f64).sqrt() / scale
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,30 +596,5 @@ mod tests {
         assert_eq!(naive_count, gemm_flops::<f64>(m, n, k));
         assert_eq!(naive_count, blocked_count);
         assert_eq!(naive_count, parallel_count);
-    }
-
-    #[test]
-    fn mixed_precision_accuracy_ladder() {
-        let mut rng = SplitMix64::new(42);
-        let a = Matrix::from_fn(48, 48, |_, _| (rng.next_f64() as f32 - 0.5) * 2.0);
-        let b = Matrix::from_fn(48, 48, |_, _| (rng.next_f64() as f32 - 0.5) * 2.0);
-        let e1 = mixed::gemm_relative_error(SplitMode::Bf16, &a, &b);
-        let e2 = mixed::gemm_relative_error(SplitMode::Bf16x2, &a, &b);
-        let e3 = mixed::gemm_relative_error(SplitMode::Bf16x3, &a, &b);
-        assert!(e1 > e2 && e2 > e3, "ladder violated: {e1} {e2} {e3}");
-        assert!(e1 < 1e-1, "single BF16 should still be ~2-digit accurate");
-        assert!(e3 < 1e-5, "BF16x3 should be f32-comparable, got {e3}");
-    }
-
-    #[test]
-    fn mixed_mode_bf16x3_close_to_f32() {
-        let mut rng = SplitMix64::new(77);
-        let a = Matrix::from_fn(32, 32, |_, _| rng.next_f64() as f32 - 0.5);
-        let b = Matrix::from_fn(32, 32, |_, _| rng.next_f64() as f32 - 0.5);
-        let mut c_split = Matrix::<f32>::zeros(32, 32);
-        mixed::gemm_f32_split(SplitMode::Bf16x3, &a, &b, &mut c_split);
-        let mut c_f32 = Matrix::<f32>::zeros(32, 32);
-        gemm_blocked(1.0, &a, &b, 0.0, &mut c_f32);
-        assert!(c_split.max_abs_diff(&c_f32) < 1e-4);
     }
 }

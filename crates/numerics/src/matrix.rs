@@ -191,31 +191,6 @@ impl<T: Scalar> Matrix<T> {
             .map(|(&a, &b)| (a - b).abs_sqr().sqrt())
             .fold(0.0, f64::max)
     }
-
-    /// In-place scaled accumulate: `self += alpha * other`.
-    pub fn axpy(&mut self, alpha: T, other: &Self)
-    where
-        T: std::ops::Mul<Output = T>,
-    {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
-    /// Matrix-vector product `y = A x` (reference implementation).
-    pub fn matvec(&self, x: &[T]) -> Vec<T> {
-        assert_eq!(x.len(), self.cols);
-        let mut y = vec![T::zero(); self.rows];
-        for (j, &xj) in x.iter().enumerate() {
-            let col = self.col(j);
-            for (yi, &aij) in y.iter_mut().zip(col) {
-                *yi += aij * xj;
-            }
-        }
-        y
-    }
 }
 
 impl<T: Scalar> std::ops::Index<(usize, usize)> for Matrix<T> {
@@ -251,13 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn eye_matvec_is_identity() {
-        let m = Matrix::<f64>::eye(4);
-        let x = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(m.matvec(&x), x);
-    }
-
-    #[test]
     fn from_fn_column_major_layout() {
         let m = Matrix::from_fn(2, 2, |i, j| (10 * i + j) as f64);
         assert_eq!(m.as_slice(), &[0.0, 10.0, 1.0, 11.0]);
@@ -281,14 +249,6 @@ mod tests {
     fn frobenius() {
         let m = Matrix::from_vec(2, 1, vec![3.0f64, 4.0]);
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = Matrix::from_vec(2, 1, vec![1.0f64, 2.0]);
-        let b = Matrix::from_vec(2, 1, vec![10.0f64, 20.0]);
-        a.axpy(0.5, &b);
-        assert_eq!(a.as_slice(), &[6.0, 12.0]);
     }
 
     #[test]

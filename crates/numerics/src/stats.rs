@@ -22,30 +22,6 @@ pub fn variance(xs: &[f64]) -> f64 {
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / xs.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
-}
-
-/// Root-mean-square error between two slices.
-pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    if a.is_empty() {
-        return 0.0;
-    }
-    let s: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-    (s / a.len() as f64).sqrt()
-}
-
-/// Mean absolute error.
-pub fn mae(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    if a.is_empty() {
-        return 0.0;
-    }
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>() / a.len() as f64
-}
-
 /// Ordinary least squares `y ≈ slope·x + intercept`.
 /// Returns `(slope, intercept, r²)`.
 pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64, f64) {
@@ -100,14 +76,12 @@ mod tests {
         let xs = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&xs), 2.5);
         assert!((variance(&xs) - 1.25).abs() < 1e-14);
-        assert!((std_dev(&xs) - 1.25f64.sqrt()).abs() < 1e-14);
     }
 
     #[test]
     fn empty_inputs() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
-        assert_eq!(rmse(&[], &[]), 0.0);
     }
 
     #[test]
@@ -138,13 +112,5 @@ mod tests {
         let (scale, shift) = affine_align(&a, &b);
         assert!((scale - 0.9).abs() < 1e-12);
         assert!((shift + 13.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rmse_mae_basics() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [1.0, 2.0, 5.0];
-        assert!((mae(&a, &b) - 2.0 / 3.0).abs() < 1e-14);
-        assert!((rmse(&a, &b) - (4.0f64 / 3.0).sqrt()).abs() < 1e-14);
     }
 }

@@ -105,18 +105,18 @@ pub fn gradient(grid: &Grid3, f: &[f64], gx: &mut [f64], gy: &mut [f64], gz: &mu
     }
 }
 
-/// FLOPs of one Laplacian application (for roofline accounting).
-pub fn laplacian_flops(grid: &Grid3, order: Order) -> u64 {
-    let per_point = match order {
-        Order::Second => 8,  // 6 adds + 1 mul-sub + 1 scale
-        Order::Fourth => 21, // 3 axes × (2 adds + 4 mul) + combine
-    };
-    per_point * grid.len() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FLOPs of one Laplacian application.
+    fn laplacian_flops(grid: &Grid3, order: Order) -> u64 {
+        let per_point = match order {
+            Order::Second => 8,  // 6 adds + 1 mul-sub + 1 scale
+            Order::Fourth => 21, // 3 axes × (2 adds + 4 mul) + combine
+        };
+        per_point * grid.len() as u64
+    }
 
     /// Periodic plane wave: ∇² e^{i·0}→ use cos product; eigval −(kx²+ky²+kz²).
     fn cos_field(grid: &Grid3, mx: usize, my: usize, mz: usize) -> (Vec<f64>, f64) {

@@ -45,24 +45,24 @@ impl NacMatrix {
     pub fn rate(&self, i: usize, j: usize) -> f64 {
         self.d[(i, j)].norm_sqr()
     }
-
-    /// Max deviation from antisymmetry `d_ij = −d_ji*` (diagnostic).
-    pub fn antisymmetry_error(&self) -> f64 {
-        let n = self.norb();
-        let mut worst = 0.0f64;
-        for i in 0..n {
-            for j in 0..n {
-                worst = worst.max((self.d[(i, j)] + self.d[(j, i)].conj()).abs());
-            }
-        }
-        worst
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mlmd_numerics::rng::{Rng64, SplitMix64};
+
+    /// Max deviation from antisymmetry `d_ij = −d_ji*`.
+    fn antisymmetry_error(nac: &NacMatrix) -> f64 {
+        let n = nac.norb();
+        let mut worst = 0.0f64;
+        for i in 0..n {
+            for j in 0..n {
+                worst = worst.max((nac.d[(i, j)] + nac.d[(j, i)].conj()).abs());
+            }
+        }
+        worst
+    }
 
     fn random_orthonormal(m: usize, n: usize, seed: u64) -> Matrix<c64> {
         let mut rng = SplitMix64::new(seed);
@@ -108,7 +108,7 @@ mod tests {
             "d_01 = {} vs {expect}",
             nac.d[(0, 1)]
         );
-        assert!(nac.antisymmetry_error() < 1e-10);
+        assert!(antisymmetry_error(&nac) < 1e-10);
     }
 
     #[test]
@@ -120,7 +120,7 @@ mod tests {
             a[(i, j)] + c64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5).scale(1e-3)
         });
         let nac = NacMatrix::from_overlaps(&a, &b, 1.0, 0.1);
-        assert!(nac.antisymmetry_error() < 1e-2 * nac.d.frobenius_norm().max(1e-12));
+        assert!(antisymmetry_error(&nac) < 1e-2 * nac.d.frobenius_norm().max(1e-12));
     }
 
     #[test]

@@ -166,7 +166,7 @@ fn hash_supercell(h: &mut Fnv64, cfg: &PipelineConfig) {
 }
 
 /// Every parameter of a [`Drive`] that enters the field values, tagged
-/// per variant so a CW drive can never collide with a pulse train of
+/// per variant so a CW drive can never collide with a Gaussian pulse of
 /// the same amplitudes.
 fn hash_drive(h: &mut Fnv64, drive: &Drive) {
     match drive {
@@ -184,25 +184,6 @@ fn hash_drive(h: &mut Fnv64, drive: &Drive) {
             h.write_f64(d.omega);
             h.write_f64(d.phase);
             h.write_f64(d.ramp_time);
-        }
-        Drive::Chirped(p) => {
-            h.write_u64(3);
-            h.write_f64(p.e0);
-            h.write_f64(p.omega);
-            h.write_f64(p.t0);
-            h.write_f64(p.sigma);
-            h.write_f64(p.phase);
-            h.write_f64(p.chirp);
-        }
-        Drive::Train(p) => {
-            h.write_u64(4);
-            h.write_f64(p.base.e0);
-            h.write_f64(p.base.omega);
-            h.write_f64(p.base.t0);
-            h.write_f64(p.base.sigma);
-            h.write_f64(p.base.phase);
-            h.write_u64(p.count as u64);
-            h.write_f64(p.spacing);
         }
     }
 }

@@ -62,6 +62,16 @@ log="$out/stderr.log"
 side_dir() { [[ "$1" == parent ]] && echo "$snap/src" || echo "$root"; }
 side_target() { [[ "$1" == parent ]] && echo "$snap/target" || echo "$root/target"; }
 
+# The change is the working tree: read its state before the first build.
+# Every build (here and in each benchmark/run.sh) rewrites the frozen
+# benchmark/Cargo.lock, which still lists shims that no longer exist, so
+# a lock file that was clean is put back on exit.
+change="$(git rev-parse HEAD)"
+[[ -z "$(git status --porcelain --untracked-files=no)" ]] || change="$change+dirty"
+if git diff --quiet HEAD -- benchmark/Cargo.lock; then
+    trap 'git diff --quiet HEAD -- benchmark/Cargo.lock || git checkout -q HEAD -- benchmark/Cargo.lock' EXIT
+fi
+
 echo "building parent ${parent:0:12} and the working tree (log: $log)" >&2
 for side in parent change; do
     CARGO_TARGET_DIR="$(side_target "$side")" cargo build --release --offline \
@@ -89,8 +99,6 @@ for ((pair = 1; pair <= pairs; pair++)); do
     done
 done
 
-change="$(git rev-parse HEAD)"
-[[ -z "$(git status --porcelain --untracked-files=no)" ]] || change="$change+dirty"
 python3 - "$raw" "$parent" "$change" "$pairs" "$root/BENCH_HISTORY.jsonl" <<'PY'
 import datetime, json, os, statistics, sys
 

@@ -47,7 +47,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> docs link check (README.md, docs/*.md)"
 scripts/check_links.sh
 
-echo "==> scripts/dead_pub.sh  (no callerless pub fn)"
+echo "==> scripts/dead_pub.sh  (no pub fn named only at its definition or in its own unit tests)"
 scripts/dead_pub.sh
 
 echo "==> cargo fmt --check"

@@ -13,7 +13,7 @@
 //!   with Allegro-lite equivariant potentials.
 //!
 //! plus [`topo`] (topological superlattice analysis), [`floquet`]
-//! (periodic-drive workloads: CW/chirped/train sources, streaming
+//! (periodic-drive workloads: Gaussian and CW sources, streaming
 //! Floquet spectra, superlattice invariant sweeps), [`exasim`] (the
 //! simulated-Aurora performance model behind the scaling figures),
 //! [`core`] (the DCR/MSA orchestration pipeline of Fig. 3), and
